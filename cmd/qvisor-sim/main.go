@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -32,13 +33,13 @@ var schemeNames = map[string]experiments.Scheme{
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "qvisor-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("qvisor-sim", flag.ContinueOnError)
 	scheme := fs.String("scheme", "qvisor-share",
 		"scheme: fifo, pifo-naive, pifo-ideal, qvisor-edf, qvisor-share, qvisor-pfabric")
@@ -135,28 +136,28 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events rendered to %s\n", len(events), *tracePerfetto)
 	}
-	fmt.Printf("scheme:   %v\n", r.Scheme)
-	fmt.Printf("load:     %.2f\n", r.Load)
-	fmt.Printf("flows:    %d completed (pFabric tenant)\n", r.Flows)
-	fmt.Printf("small:    %v\n", r.Small)
-	fmt.Printf("large:    %v\n", r.Large)
-	fmt.Printf("all:      %v\n", r.All)
+	fmt.Fprintf(out, "scheme:   %v\n", r.Scheme)
+	fmt.Fprintf(out, "load:     %.2f\n", r.Load)
+	fmt.Fprintf(out, "flows:    %d completed (pFabric tenant)\n", r.Flows)
+	fmt.Fprintf(out, "small:    %v\n", r.Small)
+	fmt.Fprintf(out, "large:    %v\n", r.Large)
+	fmt.Fprintf(out, "all:      %v\n", r.All)
 	if r.Counters.CBRSent > 0 {
-		fmt.Printf("deadline: %.1f%% of %d CBR packets on time\n",
+		fmt.Fprintf(out, "deadline: %.1f%% of %d CBR packets on time\n",
 			100*r.DeadlineMet, r.Counters.CBRDelivered)
 	}
 	c := r.Counters
-	fmt.Printf("packets:  data=%d retx=%d acks=%d cbr=%d delivered=%d dropped=%d\n",
+	fmt.Fprintf(out, "packets:  data=%d retx=%d acks=%d cbr=%d delivered=%d dropped=%d\n",
 		c.DataSent, c.Retransmits, c.AcksSent, c.CBRSent, c.Delivered, c.Dropped)
 	if *ports {
-		fmt.Println("busiest ports:")
+		fmt.Fprintln(out, "busiest ports:")
 		for _, ps := range r.TopPorts {
-			fmt.Printf("  %-16s util=%5.1f%%  tx=%d pkts / %d bytes  maxq=%dB\n",
+			fmt.Fprintf(out, "  %-16s util=%5.1f%%  tx=%d pkts / %d bytes  maxq=%dB\n",
 				ps.Name, 100*ps.Utilization, ps.TxPackets, ps.TxBytes, ps.MaxQueuedBytes)
 		}
 	}
 	if cfg.Watch != nil {
-		if err := slo.WriteReport(os.Stdout, cfg.Watch.Snapshot()); err != nil {
+		if err := slo.WriteReport(out, cfg.Watch.Snapshot()); err != nil {
 			return err
 		}
 	}

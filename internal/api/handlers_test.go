@@ -228,6 +228,7 @@ func TestMetricsGolden(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pp.Process(&pkt.Packet{Tenant: 9, Rank: 1})
 	}
+	pp.Flush()
 
 	var now sim.Time
 	srv := NewServer(ctl, func() sim.Time { now += sim.Millisecond; return now })
@@ -289,6 +290,7 @@ func TestMetricsLateRegistrationGolden(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		pp.Process(&pkt.Packet{Tenant: 1, Rank: int64(i * 100)})
 	}
+	pp.Flush()
 
 	var now sim.Time
 	srv := NewServer(ctl, func() sim.Time { now += sim.Millisecond; return now })

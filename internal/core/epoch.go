@@ -9,10 +9,10 @@ import (
 )
 
 // Epoch is one immutable published policy generation: the joint policy,
-// an optional deployment compiled from it, and an in-flight packet
-// refcount. Everything except the refcount is frozen at publish time;
-// readers never see a partially-updated epoch (the store swaps whole
-// *Epoch pointers).
+// the rewrite table compiled from it (once, at publish), an optional
+// deployment, and an in-flight packet refcount. Everything except the
+// refcount is frozen at publish time; readers never see a
+// partially-updated epoch (the store swaps whole *Epoch pointers).
 type Epoch struct {
 	// Gen is the generation number, strictly increasing across publishes.
 	Gen uint64
@@ -23,35 +23,36 @@ type Epoch struct {
 	// itself is stateful; the sim decides whether to swap it in.
 	Deployment *Deployment
 
-	action   UnknownTenantAction
+	tab    *flatTable
+	action UnknownTenantAction
+
+	// inflight is the one field written after publish, by every reader at
+	// every pin and unpin; the pads keep it alone on its cache line, so a
+	// writer handed the epoch's heap neighbour does not stall on that traffic.
+	_        [cacheLine - 8]byte
 	inflight atomic.Int64
+	_        [cacheLine - 8]byte
 }
+
+const cacheLine = 64
 
 // Inflight returns the number of packets currently pinned to this epoch
 // (acquired at the pre-processing point, released at delivery or drop).
 func (e *Epoch) Inflight() int64 { return e.inflight.Load() }
 
-// Process rewrites p.Rank under this epoch's joint policy, mirroring
-// Preprocessor.Process but stat-free and read-only, so any number of
-// data-plane readers can call it concurrently against an immutable
-// epoch. It returns false if the packet must be dropped (unknown tenant
-// under UnknownDrop).
+// Process rewrites p.Rank under this epoch's joint policy: the rewrite
+// kernel without a stage, so it is read-only and any number of data-plane
+// readers can call it concurrently. It returns false if the packet must be
+// dropped (unknown tenant under UnknownDrop).
 func (e *Epoch) Process(p *pkt.Packet) bool {
-	tr, ok := e.Policy.Transforms[p.Tenant]
-	if !ok {
-		switch e.action {
-		case UnknownPass:
-			return true
-		case UnknownDrop:
-			return false
-		default: // UnknownWorst
-			p.Rank = e.Policy.Output.Hi + 1
-			return true
-		}
-	}
-	p.Rank = tr.Apply(p.Rank)
-	return true
+	one := [1]*pkt.Packet{p}
+	return e.tab.rewrite(one[:], e.action, nil) == 1
 }
+
+// Preprocessor returns a new pre-processor executing this generation — the
+// same compiled table with its own statistics. Pin moves it to a later
+// generation.
+func (e *Epoch) Preprocessor() *Preprocessor { return newPreprocessor(e.tab, e.action, nil) }
 
 // EpochInfo is a read-only snapshot of one epoch's state.
 type EpochInfo struct {
@@ -106,6 +107,7 @@ func NewEpochStore(action UnknownTenantAction) *EpochStore {
 // jp.Version when it keeps them strictly increasing, and self-increment
 // otherwise (e.g. policies synthesized outside the controller).
 func (s *EpochStore) Publish(jp *JointPolicy, d *Deployment) *Epoch {
+	tab := buildFlatTable(jp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prev := s.cur.Load()
@@ -117,7 +119,7 @@ func (s *EpochStore) Publish(jp *JointPolicy, d *Deployment) *Epoch {
 	if gen == 0 || gen <= prevGen {
 		gen = prevGen + 1
 	}
-	e := &Epoch{Gen: gen, Policy: jp, Deployment: d, action: s.action}
+	e := &Epoch{Gen: gen, Policy: jp, Deployment: d, tab: tab, action: s.action}
 	s.cur.Store(e)
 	s.published++
 	if prev != nil && prev.Inflight() > 0 {

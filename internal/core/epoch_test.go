@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"qvisor/internal/pkt"
 	"qvisor/internal/policy"
@@ -181,5 +182,16 @@ func TestEpochStoreConcurrent(t *testing.T) {
 	}
 	if g := s.Generations(); g.Published != 50 {
 		t.Errorf("published = %d, want 50", g.Published)
+	}
+}
+
+// TestEpochInflightOwnsItsCacheLine pins the layout Epoch's padding exists
+// for: no other field of the epoch, and no heap neighbour of it, within a
+// cache line of the counter readers hammer.
+func TestEpochInflightOwnsItsCacheLine(t *testing.T) {
+	var e Epoch
+	off, size := unsafe.Offsetof(e.inflight), unsafe.Sizeof(e)
+	if before, after := off-unsafe.Offsetof(e.action)-unsafe.Sizeof(e.action), size-off-unsafe.Sizeof(e.inflight); before < cacheLine-8 || after < cacheLine-8 {
+		t.Fatalf("inflight has %d bytes of padding before and %d after, want >= %d each", before, after, cacheLine-8)
 	}
 }

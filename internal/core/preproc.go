@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"qvisor/internal/obs"
 	"qvisor/internal/pkt"
@@ -63,106 +64,185 @@ type PreprocStats struct {
 // tenant's transformation functions, rewrites the rank, and forwards the
 // packet to the hardware scheduler.
 //
-// The transform table is swapped atomically (from the simulator's
-// perspective) by Update when the runtime controller re-synthesizes the
-// joint policy.
+// It is a pointer to a compiled joint policy plus the single-writer
+// statistics of the packets it ran through it; Process, ApplyBatch and
+// ProcessFrame are all the one kernel, flatTable.rewrite. Update or Pin
+// swap the table when the runtime controller re-synthesizes the policy.
 type Preprocessor struct {
-	jp     *JointPolicy
+	tab    *flatTable
 	action UnknownTenantAction
-	stats  PreprocStats
+	stage  preprocStage
 	obs    *preprocObs
-
-	// flat is the joint policy compiled to a dense per-tenant transform
-	// array for the batched path (see ApplyBatch); nil when the tenant ID
-	// range is too sparse to justify a dense table.
-	flat *flatTable
 	// dropScratch is ApplyBatch's reusable staging area for dropped
 	// packets, so the batched path stays allocation-free in steady state.
 	dropScratch []*pkt.Packet
 }
 
-// flatTransform is one slot of the dense transform table: Transform's
-// fields pre-resolved (weight defaulted, quantization regime chosen, the
-// degenerate span/levels cases folded into m=0/div=1) so the per-packet
-// rewrite is branch-free arithmetic with no map access.
+// flatTransform is one slot of the compiled table: Transform's fields
+// pre-resolved (weight defaulted, quantization regime chosen) so the
+// per-packet rewrite is plain arithmetic with no map access.
 type flatTransform struct {
-	lo, hi   int64 // original clamp bounds (for the Clamped counter)
-	span     int64 // hi-lo: upper clamp of d
-	m        int64 // Levels-1: quantization numerator
-	w        int64 // weight, defaulted to 1
-	stride   int64
-	phase    int64
-	offset   int64
-	constOut int64 // precomputed output when the quantizer is degenerate
-	floatQ   bool  // quantize via the monotone float fallback
-	isConst  bool  // degenerate quantizer (span ≤ 0 or Levels ≤ 1)
-	valid    bool  // false = no transform for this tenant slot
+	lo, hi int64 // original clamp bounds (for the Clamped counter)
+	span   int64 // hi-lo: upper clamp of d
+	m      int64 // Levels-1: quantization numerator
+	w      int64 // weight, defaulted to 1
+	stride int64
+	base   int64 // Offset+Phase: the rank of level 0
+	floatQ bool  // quantize via the monotone float fallback
 }
 
-// flatTable is the compiled joint policy: slot i holds the transform of
-// tenant min+i.
+// flatTable is the compiled joint policy, the only form the rewrite kernel
+// executes. It is total over pkt.TenantID: index maps the IDs in
+// [min, min+len(index)) to slots, and every other ID — like every gap in
+// that range — to slot 0, which stands for "no transform". A table is
+// immutable, so epochs, pre-processors and their shard clones share one.
 type flatTable struct {
-	min   pkt.TenantID
-	slots []flatTransform
+	policy *JointPolicy
+	min    uint
+	index  []uint32
+	slots  []flatTransform
 }
 
-// maxFlatTenantSpan bounds the dense table: a tenant ID range wider than
-// this (possible only with adversarially sparse IDs — synthesis assigns
-// them densely) falls back to the map-based per-packet path.
-const maxFlatTenantSpan = 1 << 14
-
-// buildFlatTable compiles the joint policy's transform map into the dense
-// array, or returns nil when the ID range exceeds maxFlatTenantSpan.
-func buildFlatTable(jp *JointPolicy) *flatTable {
-	if jp == nil || len(jp.Transforms) == 0 {
-		return nil
+// slot returns the table slot of a tenant ID, 0 when it has no transform.
+func (t *flatTable) slot(id pkt.TenantID) uint32 {
+	if i := uint(id) - t.min; i < uint(len(t.index)) {
+		return t.index[i]
 	}
-	first := true
-	var min, max pkt.TenantID
-	for id := range jp.Transforms {
-		if first {
-			min, max = id, id
-			first = false
-			continue
-		}
+	return 0
+}
+
+// buildFlatTable compiles the joint policy's transform map in one pass: slots
+// fill in iteration order, the index afterwards, once the ID range is known.
+func buildFlatTable(jp *JointPolicy) *flatTable {
+	n := len(jp.Transforms)
+	t := &flatTable{policy: jp, slots: make([]flatTransform, 1, n+1)}
+	ids := make([]pkt.TenantID, 1, n+1) // ids[slot] is the tenant compiled into it
+	min, max := pkt.TenantID(math.MaxUint16), pkt.TenantID(0)
+	for id, tr := range jp.Transforms {
 		if id < min {
 			min = id
 		}
 		if id > max {
 			max = id
 		}
-	}
-	if int(max-min) >= maxFlatTenantSpan {
-		return nil
-	}
-	ft := &flatTable{min: min, slots: make([]flatTransform, int(max-min)+1)}
-	for id, tr := range jp.Transforms {
-		s := &ft.slots[id-min]
-		s.lo, s.hi = tr.Lo, tr.Hi
-		s.w = 1
-		if tr.Weight > 0 {
-			s.w = tr.Weight
-		}
-		s.stride, s.phase, s.offset = tr.Stride, tr.Phase, tr.Offset
-		span, m := tr.Hi-tr.Lo, tr.Levels-1
-		if span <= 0 || m <= 0 {
+		s := flatTransform{lo: tr.Lo, hi: tr.Hi, span: tr.Hi - tr.Lo, m: tr.Levels - 1,
+			w: tr.weight(), stride: tr.Stride, base: tr.Offset + tr.Phase}
+		if s.span <= 0 || s.m <= 0 {
 			// Degenerate quantizer: Quantize pins the level to 0, which
 			// Apply then clamps to Levels-1 when that is lower, so the
-			// output is one constant rank — precompute it with the same
-			// truncating div/mod Apply uses.
-			s.isConst = true
+			// output is one constant rank. Fold it into the base (with
+			// the same truncating div/mod Apply uses) and let the kernel
+			// quantize everything to level 0.
 			lvl := int64(0)
-			if m < 0 {
-				lvl = m
+			if s.m < 0 {
+				lvl = s.m
 			}
-			s.constOut = tr.Offset + (lvl/s.w)*tr.Stride + tr.Phase + lvl%s.w
-		} else {
-			s.span, s.m = span, m
-			s.floatQ = m > (1<<62)/(span+1)
+			s.base += (lvl/s.w)*s.stride + lvl%s.w
+			s.span, s.m = 1, 0
 		}
-		s.valid = true
+		s.floatQ = s.m > (1<<62)/(s.span+1)
+		t.slots = append(t.slots, s)
+		ids = append(ids, id)
 	}
-	return ft
+	if n > 0 {
+		t.min, t.index = uint(min), make([]uint32, int(max-min)+1)
+		for slot := 1; slot <= n; slot++ {
+			t.index[ids[slot]-min] = uint32(slot)
+		}
+	}
+	return t
+}
+
+// preprocStage is the single-writer bookkeeping of one pre-processor, plain
+// arithmetic on the data path like sched.Metrics: stats is exact at all
+// times, and an instrumented pre-processor also stages its per-tenant
+// series in tenants for Flush to publish (nil, and a nil check, otherwise).
+type preprocStage struct {
+	stats PreprocStats
+	// tenants has one entry per table slot, counting since the last
+	// Flush; entry 0 uses only n, for unknown-tenant packets.
+	tenants []slotStage
+}
+
+type slotStage struct {
+	n        uint64 // packets rewritten
+	clamped  uint64 // of those, incoming rank outside the declared bounds
+	shiftSum int64
+	shift    [obs.HistogramBuckets + 1]uint64 // |joint - tenant| by obs.BucketIndex
+}
+
+// rewrite is the rank-rewrite kernel — the one place outside
+// Transform.Apply (the spec it is tested against) that computes clamp,
+// quantize and slot placement. It rewrites ps in order and returns how many
+// leading packets it admitted: len(ps), or the index of the first packet it
+// rejected (unknown tenant under UnknownDrop), which it counts but leaves
+// untouched for the caller to drop and resume after. A nil stage runs it
+// read-only, for concurrent readers of a shared table.
+func (t *flatTable) rewrite(ps []*pkt.Packet, action UnknownTenantAction, stage *preprocStage) int {
+	for i, p := range ps {
+		slot := t.slot(p.Tenant)
+		if slot == 0 {
+			if stage != nil {
+				stage.stats.Unknown++
+				if stage.tenants != nil {
+					stage.tenants[0].n++
+				}
+			}
+			switch action {
+			case UnknownPass:
+			case UnknownDrop:
+				return i
+			default: // UnknownWorst: one past the joint policy's worst rank
+				p.Rank = t.policy.Output.Hi + 1
+			}
+			continue
+		}
+		s := &t.slots[slot]
+		in := p.Rank
+		// Out-of-range ranks pin d to the boundary without ever
+		// subtracting (overflow-safe for extreme ranks, matching Quantize's
+		// clamp-before-subtract order).
+		d := in - s.lo
+		clamped := in < s.lo || in > s.hi
+		if clamped {
+			d = 0
+			if in > s.hi {
+				d = s.span
+			}
+		}
+		var lvl int64
+		if s.floatQ {
+			lvl = int64(float64(d) / float64(s.span) * float64(s.m))
+			if lvl > s.m {
+				lvl = s.m
+			}
+		} else {
+			lvl = d * s.m / s.span
+		}
+		out := s.base + (lvl/s.w)*s.stride + lvl%s.w
+		p.Rank = out
+		if stage == nil {
+			continue
+		}
+		stage.stats.Processed++
+		if clamped {
+			stage.stats.Clamped++
+		}
+		if stage.tenants != nil {
+			st := &stage.tenants[slot]
+			st.n++
+			if clamped {
+				st.clamped++
+			}
+			shift := out - in
+			if shift < 0 {
+				shift = -shift
+			}
+			st.shift[obs.BucketIndex(shift)]++
+			st.shiftSum += shift
+		}
+	}
+	return len(ps)
 }
 
 // Metric families exported by an instrumented pre-processor.
@@ -175,12 +255,12 @@ const (
 
 // preprocObs holds the registry-backed instruments of one pre-processor:
 // per-tenant counters plus a rank-shift magnitude histogram, resolved to
-// direct handles per tenant ID so the per-packet cost is one map lookup.
+// one handle set per table slot so Flush publishes without a lookup.
 type preprocObs struct {
 	reg     *obs.Registry
 	nameOf  func(pkt.TenantID) string
 	unknown *obs.Counter
-	tenants map[pkt.TenantID]preprocTenantObs
+	slots   []preprocTenantObs
 }
 
 type preprocTenantObs struct {
@@ -191,218 +271,173 @@ type preprocTenantObs struct {
 
 // EnableMetrics mirrors the pre-processor's counters into reg, labeled per
 // tenant. nameOf maps tenant IDs to the names used as label values; nil
-// falls back to "tenant-<id>". A nil registry disables instrumentation
-// (the default, zero-overhead state). The instrument table is rebuilt on
-// every Update so re-synthesized policies keep their series.
+// falls back to "tenant-<id>". A nil registry disables instrumentation.
+// Counts are staged per packet and reach the registry on Flush; the handles
+// are re-resolved on every Update or Pin so re-synthesized policies keep
+// their series.
 func (pp *Preprocessor) EnableMetrics(reg *obs.Registry, nameOf func(pkt.TenantID) string) {
-	if reg == nil {
-		pp.obs = nil
-		return
+	var o *preprocObs
+	if reg != nil {
+		if nameOf == nil {
+			nameOf = func(id pkt.TenantID) string { return fmt.Sprintf("tenant-%d", id) }
+		}
+		o = &preprocObs{reg: reg, nameOf: nameOf, unknown: reg.Counter(MetricPreprocUnknown,
+			"Packets whose tenant label has no transformation.")}
 	}
-	if nameOf == nil {
-		nameOf = func(id pkt.TenantID) string { return fmt.Sprintf("tenant-%d", id) }
-	}
-	pp.obs = &preprocObs{
-		reg:    reg,
-		nameOf: nameOf,
-		unknown: reg.Counter(MetricPreprocUnknown,
-			"Packets whose tenant label has no transformation."),
-	}
-	pp.obs.rebuild(pp.jp)
+	pp.bind(pp.tab, o.forTable(pp.tab))
 }
 
-func (o *preprocObs) rebuild(jp *JointPolicy) {
-	o.tenants = make(map[pkt.TenantID]preprocTenantObs, len(jp.Transforms))
-	for id := range jp.Transforms {
-		l := obs.L("tenant", o.nameOf(id))
-		o.tenants[id] = preprocTenantObs{
-			processed: o.reg.Counter(MetricPreprocProcessed,
+// forTable returns a copy of o (so shard clones sharing o are unaffected)
+// with its per-slot handles resolved for t; nil stays nil.
+func (o *preprocObs) forTable(t *flatTable) *preprocObs {
+	if o == nil {
+		return nil
+	}
+	c := *o
+	c.slots = make([]preprocTenantObs, len(t.slots))
+	for id := range t.policy.Transforms {
+		l := obs.L("tenant", c.nameOf(id))
+		c.slots[t.slot(id)] = preprocTenantObs{
+			processed: c.reg.Counter(MetricPreprocProcessed,
 				"Packets whose rank the pre-processor rewrote.", l),
-			clamped: o.reg.Counter(MetricPreprocClamped,
+			clamped: c.reg.Counter(MetricPreprocClamped,
 				"Packets whose incoming rank fell outside the tenant's declared bounds.", l),
-			shift: o.reg.Histogram(MetricPreprocRankShift,
+			shift: c.reg.Histogram(MetricPreprocRankShift,
 				"Absolute rank-rewrite magnitude |joint - tenant| (log2 buckets).", l),
 		}
 	}
+	return &c
 }
 
 // NewPreprocessor returns a pre-processor executing the given joint policy.
 func NewPreprocessor(jp *JointPolicy, action UnknownTenantAction) *Preprocessor {
-	return &Preprocessor{jp: jp, action: action, flat: buildFlatTable(jp)}
+	return newPreprocessor(buildFlatTable(jp), action, nil)
+}
+
+func newPreprocessor(t *flatTable, action UnknownTenantAction, o *preprocObs) *Preprocessor {
+	pp := &Preprocessor{action: action}
+	pp.bind(t, o)
+	return pp
 }
 
 // Policy returns the joint policy currently deployed.
-func (pp *Preprocessor) Policy() *JointPolicy { return pp.jp }
+func (pp *Preprocessor) Policy() *JointPolicy { return pp.tab.policy }
 
 // Update deploys a new joint policy. Packets processed afterwards use the
 // new transformations — the event-driven reconfiguration of §2 (Idea 2).
 func (pp *Preprocessor) Update(jp *JointPolicy) {
-	pp.jp = jp
-	pp.flat = buildFlatTable(jp)
-	if pp.obs != nil {
-		pp.obs.rebuild(jp)
+	t := buildFlatTable(jp)
+	pp.bind(t, pp.obs.forTable(t))
+}
+
+// Pin points the pre-processor at an already published policy generation,
+// sharing the table the epoch compiled instead of compiling another. A
+// no-op when it already executes that generation.
+func (pp *Preprocessor) Pin(e *Epoch) {
+	if pp.tab != e.tab {
+		pp.bind(e.tab, pp.obs.forTable(e.tab))
 	}
 }
 
-// Stats returns a snapshot of the counters.
-func (pp *Preprocessor) Stats() PreprocStats { return pp.stats }
+// bind flushes the counts staged against the old table's slots, then
+// points the pre-processor at t with o's instruments (nil for none).
+func (pp *Preprocessor) bind(t *flatTable, o *preprocObs) {
+	pp.Flush()
+	pp.tab, pp.obs = t, o
+	switch {
+	case o == nil:
+		pp.stage.tenants = nil
+	case len(pp.stage.tenants) != len(t.slots):
+		pp.stage.tenants = make([]slotStage, len(t.slots))
+	}
+}
 
-// Clone returns a pre-processor with private stats counters that shares
-// this one's joint policy and registry instruments. The sharded simulator
+// Stats returns a snapshot of the counters (zero for a nil pre-processor).
+func (pp *Preprocessor) Stats() PreprocStats {
+	if pp == nil {
+		return PreprocStats{}
+	}
+	return pp.stage.stats
+}
+
+// Flush publishes the staged per-tenant counts to the registry and resets
+// them. Like sched.Metrics.Flush it belongs to the goroutine driving the
+// pre-processor and is called at sync points: netsim flushes from Run,
+// PortStats and FlushMetrics; call it directly before scraping a registry
+// fed by bare Process calls. Stats needs no flush. A no-op on a nil or
+// uninstrumented pre-processor.
+func (pp *Preprocessor) Flush() {
+	if pp == nil {
+		return
+	}
+	for i := range pp.stage.tenants {
+		st := &pp.stage.tenants[i]
+		if st.n == 0 {
+			continue
+		}
+		if i == 0 {
+			pp.obs.unknown.Add(st.n)
+		} else {
+			o := &pp.obs.slots[i]
+			o.processed.Add(st.n)
+			o.clamped.Add(st.clamped)
+			o.shift.AddBuckets(st.shift[:], st.shiftSum)
+		}
+		*st = slotStage{}
+	}
+}
+
+// Clone returns a pre-processor with a private stage that shares this
+// one's compiled table and registry instruments. The sharded simulator
 // gives each shard a clone so Process never writes shared plain memory:
-// the policy is read-only during a run and the registry instruments are
-// atomic. Update must not run concurrently with clones processing
-// packets. Clone of nil is nil.
+// the table is immutable and the registry instruments are atomic. Update
+// and Pin must not run concurrently with clones processing packets. Clone
+// of nil is nil.
 func (pp *Preprocessor) Clone() *Preprocessor {
 	if pp == nil {
 		return nil
 	}
-	// The flat table is read-only during a run, so clones share it; the
-	// drop scratch is per-clone written state and stays private.
-	return &Preprocessor{jp: pp.jp, action: pp.action, obs: pp.obs, flat: pp.flat}
+	return newPreprocessor(pp.tab, pp.action, pp.obs)
 }
 
 // Absorb folds another pre-processor's counters into this one — how
 // per-shard clone stats roll back up into the parent after a sharded run.
 func (pp *Preprocessor) Absorb(st PreprocStats) {
-	pp.stats.Processed += st.Processed
-	pp.stats.Unknown += st.Unknown
-	pp.stats.Clamped += st.Clamped
+	pp.stage.stats.Processed += st.Processed
+	pp.stage.stats.Unknown += st.Unknown
+	pp.stage.stats.Clamped += st.Clamped
 }
 
-// Process rewrites p.Rank according to the joint policy. It returns false
-// if the packet must be dropped (unknown tenant under UnknownDrop).
+// Process rewrites p.Rank according to the joint policy: the batch kernel
+// at n=1. It returns false if the packet must be dropped (unknown tenant
+// under UnknownDrop).
 func (pp *Preprocessor) Process(p *pkt.Packet) bool {
-	tr, ok := pp.jp.Transforms[p.Tenant]
-	if !ok {
-		pp.stats.Unknown++
-		if pp.obs != nil {
-			pp.obs.unknown.Inc()
-		}
-		switch pp.action {
-		case UnknownPass:
-			return true
-		case UnknownDrop:
-			return false
-		default: // UnknownWorst
-			p.Rank = pp.jp.Output.Hi + 1
-			return true
-		}
-	}
-	clamped := p.Rank < tr.Lo || p.Rank > tr.Hi
-	if clamped {
-		pp.stats.Clamped++
-	}
-	in := p.Rank
-	p.Rank = tr.Apply(p.Rank)
-	pp.stats.Processed++
-	if pp.obs != nil {
-		if to, ok := pp.obs.tenants[p.Tenant]; ok {
-			to.processed.Inc()
-			if clamped {
-				to.clamped.Inc()
-			}
-			shift := p.Rank - in
-			if shift < 0 {
-				shift = -shift
-			}
-			to.shift.Observe(shift)
-		}
-	}
-	return true
+	one := [1]*pkt.Packet{p}
+	return pp.tab.rewrite(one[:], pp.action, &pp.stage) == 1
 }
 
-// ApplyBatch rewrites the ranks of a whole batch of packets in one pass,
-// byte-identical to calling Process on each packet in order (same ranks,
-// same stats, same drop decisions) but without per-packet map lookups:
-// tenants resolve through the dense flat table and the quantize+placement
-// arithmetic is branch-free (the clamp rides the clamp-statistics check). It returns the number of packets kept:
-// ps[:kept] holds them in their original relative order, ps[kept:] the
-// dropped packets (unknown tenant under UnknownDrop), also in order, for
-// the caller to release. Steady state allocates nothing.
-//
-// The instrumented (EnableMetrics) and sparse-tenant configurations fall
-// back to per-packet Process calls — identical observable behaviour,
-// amortization lost.
+// ApplyBatch rewrites the ranks of a whole batch of packets, byte-identical
+// to calling Process on each packet in order (same ranks, same stats, same
+// drop decisions). It returns the number of packets kept: ps[:kept] holds
+// them in their original relative order, ps[kept:] the dropped packets
+// (unknown tenant under UnknownDrop), also in order, for the caller to
+// release. Without drops it is one kernel call that moves nothing; steady
+// state allocates nothing.
 func (pp *Preprocessor) ApplyBatch(ps []*pkt.Packet) int {
-	if pp.flat == nil || pp.obs != nil {
-		return pp.applyBatchSlow(ps)
-	}
-	t := pp.flat
-	unknownRank := pp.jp.Output.Hi + 1
 	kept := 0
-	for _, p := range ps {
-		i := int(p.Tenant) - int(t.min)
-		if i < 0 || i >= len(t.slots) || !t.slots[i].valid {
-			pp.stats.Unknown++
-			switch pp.action {
-			case UnknownPass:
-			case UnknownDrop:
-				pp.dropScratch = append(pp.dropScratch, p)
-				continue
-			default: // UnknownWorst
-				p.Rank = unknownRank
-			}
-			ps[kept] = p
-			kept++
-			continue
+	for i := 0; i < len(ps); {
+		n := pp.tab.rewrite(ps[i:], pp.action, &pp.stage)
+		if kept != i {
+			copy(ps[kept:], ps[i:i+n])
 		}
-		s := &t.slots[i]
-		r := p.Rank
-		// The clamp is folded into the mandatory clamp-statistics check:
-		// in-range ranks (the hot path) take one predicted-not-taken
-		// compare and a subtraction, and out-of-range ranks pin d to the
-		// boundary without ever subtracting (overflow-safe for extreme
-		// ranks, matching Quantize's clamp-before-subtract order).
-		d := r - s.lo
-		if r < s.lo || r > s.hi {
-			pp.stats.Clamped++
-			d = 0
-			if r > s.hi {
-				d = s.span
-			}
-		}
-		if s.isConst {
-			p.Rank = s.constOut
-		} else {
-			var lvl int64
-			if s.floatQ {
-				lvl = int64(float64(d) / float64(s.span) * float64(s.m))
-				if lvl > s.m {
-					lvl = s.m
-				}
-			} else {
-				lvl = d * s.m / s.span
-			}
-			p.Rank = s.offset + (lvl/s.w)*s.stride + s.phase + lvl%s.w
-		}
-		pp.stats.Processed++
-		ps[kept] = p
-		kept++
-	}
-	if len(pp.dropScratch) > 0 {
-		copy(ps[kept:], pp.dropScratch)
-		pp.dropScratch = pp.dropScratch[:0]
-	}
-	return kept
-}
-
-// applyBatchSlow is ApplyBatch's fallback: per-packet Process calls with
-// the same kept/dropped compaction contract.
-func (pp *Preprocessor) applyBatchSlow(ps []*pkt.Packet) int {
-	kept := 0
-	for _, p := range ps {
-		if pp.Process(p) {
-			ps[kept] = p
-			kept++
-		} else {
-			pp.dropScratch = append(pp.dropScratch, p)
+		kept += n
+		if i += n; i < len(ps) {
+			pp.dropScratch = append(pp.dropScratch, ps[i])
+			i++
 		}
 	}
-	if len(pp.dropScratch) > 0 {
-		copy(ps[kept:], pp.dropScratch)
-		pp.dropScratch = pp.dropScratch[:0]
-	}
+	copy(ps[kept:], pp.dropScratch)
+	pp.dropScratch = pp.dropScratch[:0]
 	return kept
 }
 

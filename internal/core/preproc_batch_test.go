@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,8 +15,9 @@ import (
 // Satellite tests for the batched pre-processor path: ApplyBatch must be
 // byte-identical to calling Process on each packet in order — same output
 // ranks, same stats counters, same drop decisions — across every
-// UnknownTenantAction, on both the dense flat table and the sparse-tenant
-// fallback, and regardless of where batch boundaries fall.
+// UnknownTenantAction and regardless of where batch boundaries fall. (The
+// differential test against the Transform.Apply spec, over every entry
+// point, ID layout and metrics setting, is TestRewriteKernelMatchesSpec.)
 
 // batchPolicy synthesizes a policy exercising every flat-table regime:
 // weighted sharing (Weight > 1), a strict tier, a single-level tenant
@@ -33,17 +35,6 @@ func batchPolicy(t testing.TB) *JointPolicy {
 		t.Fatal(err)
 	}
 	return jp
-}
-
-// sparsePolicy has tenant IDs far enough apart that buildFlatTable refuses
-// a dense table, forcing the per-packet fallback.
-func sparsePolicy(t *testing.T) *JointPolicy {
-	t.Helper()
-	tenants := []*Tenant{
-		{ID: 1, Name: "A", Bounds: rank.Bounds{Lo: 0, Hi: 100}, Levels: 8},
-		{ID: 1 + maxFlatTenantSpan, Name: "B", Bounds: rank.Bounds{Lo: 0, Hi: 100}, Levels: 8},
-	}
-	return mustSynth(t, tenants, "A >> B", SynthOptions{Base: 1})
 }
 
 // mixPackets builds a seeded random packet mix over the policy's tenants
@@ -142,52 +133,6 @@ func TestApplyBatchMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestApplyBatchSparseFallback: a sparse tenant-ID range disables the dense
-// table; ApplyBatch must still match Process exactly via the fallback.
-func TestApplyBatchSparseFallback(t *testing.T) {
-	jp := sparsePolicy(t)
-	pp := NewPreprocessor(jp, UnknownDrop)
-	if pp.flat != nil {
-		t.Fatalf("flat table built over tenant span %d, want sparse fallback", maxFlatTenantSpan)
-	}
-	want := NewPreprocessor(jp, UnknownDrop)
-	ps := mixPackets(jp, rand.New(rand.NewSource(7)), 300)
-	ref := copyPackets(ps)
-	kept := pp.ApplyBatch(ps)
-	keptWant := referenceBatch(want, ref)
-	if kept != keptWant {
-		t.Fatalf("kept %d, want %d", kept, keptWant)
-	}
-	for i := range ps {
-		if ps[i].ID != ref[i].ID || ps[i].Rank != ref[i].Rank {
-			t.Fatalf("packet[%d] = id %d rank %d, want id %d rank %d",
-				i, ps[i].ID, ps[i].Rank, ref[i].ID, ref[i].Rank)
-		}
-	}
-	if pp.Stats() != want.Stats() {
-		t.Fatalf("stats %+v, want %+v", pp.Stats(), want.Stats())
-	}
-}
-
-// TestApplyBatchInstrumentedFallback: an instrumented pre-processor must
-// keep its per-tenant counters exact, so ApplyBatch falls back to Process.
-func TestApplyBatchInstrumentedFallback(t *testing.T) {
-	jp := batchPolicy(t)
-	pp := NewPreprocessor(jp, UnknownWorst)
-	pp.EnableMetrics(obs.NewRegistry(), nil)
-	want := NewPreprocessor(jp, UnknownWorst)
-	ps := mixPackets(jp, rand.New(rand.NewSource(11)), 200)
-	ref := copyPackets(ps)
-	if kept := pp.ApplyBatch(ps); kept != referenceBatch(want, ref) {
-		t.Fatal("instrumented batch diverged from reference in kept count")
-	}
-	for i := range ps {
-		if ps[i].Rank != ref[i].Rank {
-			t.Fatalf("packet[%d] rank %d, want %d", i, ps[i].Rank, ref[i].Rank)
-		}
-	}
-}
-
 // TestApplyBatchBoundaryMetamorphic: splitting one stream into batches at
 // any boundary must not change any packet's output rank or the aggregate
 // stats — batching is an amortization, never a semantic boundary.
@@ -217,21 +162,73 @@ func TestApplyBatchBoundaryMetamorphic(t *testing.T) {
 	}
 }
 
+// sparseIDPolicy is batchPolicy's shape over tenant IDs at both ends of
+// the ID space, where a table indexed directly by ID would not fit.
+func sparseIDPolicy(t testing.TB) *JointPolicy {
+	t.Helper()
+	tenants := []*Tenant{
+		{ID: 1, Name: "A", Bounds: rank.Bounds{Lo: 7, Hi: 9}, Levels: 3},
+		{ID: 40000, Name: "B", Bounds: rank.Bounds{Lo: 0, Hi: 1 << 16}, Levels: 64},
+		{ID: 65535, Name: "C", Bounds: rank.Bounds{Lo: 5, Hi: 5}, Levels: 1},
+	}
+	jp, err := Synthesize(tenants, policy.MustParse("A >> B*2 + C"), SynthOptions{Base: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jp
+}
+
+// allocBudgetPreprocs is every configuration the rewrite kernel must treat
+// alike: dense and sparse tenant IDs, metrics off and on.
+func allocBudgetPreprocs(t *testing.T, f func(t *testing.T, pp *Preprocessor, ps []*pkt.Packet)) {
+	for name, jp := range map[string]*JointPolicy{"dense": batchPolicy(t), "sparse": sparseIDPolicy(t)} {
+		for _, instrumented := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/metrics=%v", name, instrumented), func(t *testing.T) {
+				pp := NewPreprocessor(jp, UnknownDrop)
+				if instrumented {
+					pp.EnableMetrics(obs.NewRegistry(), nil)
+				}
+				f(t, pp, mixPackets(jp, rand.New(rand.NewSource(31)), 256))
+			})
+		}
+	}
+}
+
 // TestAllocBudgetPreprocBatch pins the batched pre-processor at 0 allocs
 // per batch once the drop scratch has warmed.
 func TestAllocBudgetPreprocBatch(t *testing.T) {
-	jp := batchPolicy(t)
-	pp := NewPreprocessor(jp, UnknownDrop)
-	ps := mixPackets(jp, rand.New(rand.NewSource(31)), 256)
-	batch := make([]*pkt.Packet, len(ps))
-	run := func() {
-		copy(batch, ps)
-		pp.ApplyBatch(batch)
-	}
-	run() // warm the drop scratch
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Fatalf("ApplyBatch allocates %.1f times per batch, want 0", avg)
-	}
+	allocBudgetPreprocs(t, func(t *testing.T, pp *Preprocessor, ps []*pkt.Packet) {
+		batch := make([]*pkt.Packet, len(ps))
+		run := func() {
+			copy(batch, ps)
+			pp.ApplyBatch(batch)
+		}
+		run() // warm the drop scratch
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Fatalf("ApplyBatch allocates %.1f times per batch, want 0", avg)
+		}
+	})
+}
+
+// TestAllocBudgetPreprocProcess pins the per-packet entry point — the same
+// kernel at n=1 — at 0 allocs per packet, frames included.
+func TestAllocBudgetPreprocProcess(t *testing.T) {
+	allocBudgetPreprocs(t, func(t *testing.T, pp *Preprocessor, ps []*pkt.Packet) {
+		frame := make([]byte, pkt.LabelSize)
+		run := func() {
+			for _, p := range ps {
+				pp.Process(p)
+			}
+			l := pkt.Label{Version: pkt.LabelVersion, Tenant: 1, Rank: 8}
+			l.Encode(frame)
+			if err := pp.ProcessFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Fatalf("Process allocates %.1f times per %d packets, want 0", avg, len(ps))
+		}
+	})
 }
 
 // BenchmarkPreprocBatch measures the batched path against the equivalent

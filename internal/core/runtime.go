@@ -89,8 +89,8 @@ type ControllerOptions struct {
 	OnEvent func(Event)
 	// Metrics, if non-nil, exports controller activity (adaptation
 	// events, re-synthesis count, quarantine transitions) and the
-	// pre-processor's per-tenant counters into this registry; the
-	// API server serves it at GET /v1/metrics.
+	// pre-processor's per-tenant counters (on Preprocessor.Flush) into
+	// this registry; the API server serves it at GET /v1/metrics.
 	Metrics *obs.Registry
 }
 
@@ -236,10 +236,11 @@ func NewController(tenants []*Tenant, spec *policy.Spec, opts ControllerOptions)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := c.publish(jp); err != nil {
+	e, err := c.publish(jp)
+	if err != nil {
 		return nil, nil, err
 	}
-	c.pp = NewPreprocessor(jp, UnknownWorst)
+	c.pp = e.Preprocessor()
 	c.pp.EnableMetrics(opts.Metrics, c.tenantName)
 	c.resetMonitors()
 	c.syncObs()
@@ -319,20 +320,20 @@ func (c *Controller) compile() (*JointPolicy, error) {
 }
 
 // publish compiles the optional per-epoch deployment and installs jp as
-// the next policy generation. On deployment failure the version bump is
-// rolled back so epoch generations stay aligned with Version.
-func (c *Controller) publish(jp *JointPolicy) error {
+// the next policy generation, whose rewrite table the pre-processor then
+// shares. On deployment failure the version bump is rolled back so epoch
+// generations stay aligned with Version.
+func (c *Controller) publish(jp *JointPolicy) (*Epoch, error) {
 	var d *Deployment
 	if ed := c.opts.EpochDeploy; ed != nil {
 		var err error
 		d, err = jp.Deploy(ed.Backend, ed.Options)
 		if err != nil {
 			c.version--
-			return err
+			return nil, err
 		}
 	}
-	c.epochs.Publish(jp, d)
-	return nil
+	return c.epochs.Publish(jp, d), nil
 }
 
 func (c *Controller) recompile(now sim.Time, reason string) error {
@@ -340,10 +341,11 @@ func (c *Controller) recompile(now sim.Time, reason string) error {
 	if err != nil {
 		return err
 	}
-	if err := c.publish(jp); err != nil {
+	e, err := c.publish(jp)
+	if err != nil {
 		return err
 	}
-	c.pp.Update(jp)
+	c.pp.Pin(e)
 	c.emit(Event{Kind: EventResynthesized, At: now, Detail: reason})
 	return nil
 }

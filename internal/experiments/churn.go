@@ -102,6 +102,9 @@ type ChurnResult struct {
 	Check *conform.EpochCheck
 	// Counters are the network-wide packet counters.
 	Counters netsim.Counters
+	// Preproc are the counters of the pre-processor the network ran the
+	// pinned generations through.
+	Preproc core.PreprocStats
 	// Resynth are the incremental synthesizer's cache counters.
 	Resynth core.ResynthStats
 }
@@ -301,6 +304,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	events, _ := rec.Snapshot(trace.AllEvents)
 	res.Check = conform.CheckEpochs(events, policies)
 	res.Counters = n.Counters()
+	res.Preproc = n.PreprocStats()
 	res.Generations = ctl.Epochs().Generations().Published
 	res.DrainingAfter = ctl.Epochs().Draining()
 	res.Resynth = ctl.ResynthStats()

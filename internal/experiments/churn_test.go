@@ -62,6 +62,23 @@ func TestChurnEpochContract(t *testing.T) {
 	}
 }
 
+// TestChurnReportsPreprocStats: an Epochs-mode network runs every pinned
+// generation through one pre-processor, so the run reports how many ranks
+// it rewrote — exactly the transform events the recorder saw (the test
+// run fits the ring), none unknown since the policy covers both tenants.
+func TestChurnReportsPreprocStats(t *testing.T) {
+	res, err := RunChurn(testChurnConfig())
+	if err != nil {
+		t.Fatalf("RunChurn: %v", err)
+	}
+	if got, want := res.Preproc.Processed, uint64(res.Check.Transforms); got == 0 || got != want {
+		t.Errorf("pre-processor rewrote %d packets, recorder saw %d transform events", got, want)
+	}
+	if res.Preproc.Unknown != 0 {
+		t.Errorf("unknown-tenant packets under a covering policy: %+v", res.Preproc)
+	}
+}
+
 // TestChurnBoundedDisruption compares the churn run against an
 // update-free baseline on the identical workload: sustained policy churn
 // must not melt the data plane.
@@ -125,7 +142,8 @@ func TestChurnEpochDeploy(t *testing.T) {
 }
 
 // TestMeasureResynthLatency sanity-checks the latency harness at a CI
-// scale; the 1k-tenant measurement lives in BENCH_churn.json.
+// scale; `bash bench/run.sh` takes the 1k-tenant measurement
+// (core.resynth_us vs core.synth_full_us on the control_churn workload).
 func TestMeasureResynthLatency(t *testing.T) {
 	res, err := MeasureResynthLatency(128, 20, 1)
 	if err != nil {

@@ -54,8 +54,8 @@ func TestAllocBudgetSimSteadyStateAdmission(t *testing.T) {
 }
 
 // BenchmarkSimSteadyStateAdmission is BenchmarkSimSteadyState on the
-// admission+scheduling backend; allocs/op must report 0 (recorded in
-// BENCH_hotpath.json, gated by the CI bench-smoke job).
+// admission+scheduling backend; allocs/op must report 0 (pinned by
+// TestAllocBudgetSimSteadyStateAdmission in the CI alloc-regression job).
 func BenchmarkSimSteadyStateAdmission(b *testing.B) {
 	n := steadyStateAdmission(b)
 	eng := n.Engine()

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"qvisor/internal/core"
 	"qvisor/internal/obs"
 	"qvisor/internal/pkt"
+	"qvisor/internal/rank"
 	"qvisor/internal/sim"
 	"qvisor/internal/slo"
 	"qvisor/internal/stats"
@@ -65,7 +65,6 @@ type Cluster struct {
 	nets    []*Network
 	coord   *sim.Coordinator
 	seqs    []uint64 // per-shard handoff sequence counters
-	preps   []*core.Preprocessor
 	watches []*slo.Watchdog
 	fcts    *stats.Collector
 
@@ -97,11 +96,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	leafOwner, spineOwner := makeOwners(&cfg, s)
 	c := &Cluster{
-		cfg:   cfg,
-		nets:  make([]*Network, s),
-		seqs:  make([]uint64, s),
-		preps: make([]*core.Preprocessor, s),
-		fcts:  stats.NewCollector(),
+		cfg:  cfg,
+		nets: make([]*Network, s),
+		seqs: make([]uint64, s),
+		fcts: stats.NewCollector(),
 	}
 	for i := 0; i < s; i++ {
 		i := i
@@ -118,7 +116,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		scfg := cfg
 		scfg.Preprocessor = cfg.Preprocessor.Clone()
-		c.preps[i] = scfg.Preprocessor
 		if cfg.Watch != nil {
 			scfg.Watch = cfg.Watch.Shard(i)
 			c.watches = append(c.watches, scfg.Watch)
@@ -136,6 +133,26 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.nets[i] = n
+	}
+	// A ranker that keeps per-flow state is called from every shard that
+	// sources one of its tenant's flows; more than one is a data race.
+	// (The builds above have validated the flow endpoints.)
+	for i := range cfg.Tenants {
+		td := &cfg.Tenants[i]
+		if _, stateful := td.Ranker.(rank.FlowReleaser); !stateful {
+			continue
+		}
+		home := -1
+		for _, f := range td.Flows {
+			at := leafOwner[f.Src/cfg.HostsPerLeaf]
+			if home < 0 {
+				home = at
+			}
+			if at != home {
+				return nil, fmt.Errorf("netsim: tenant %q's ranker keeps per-flow state but its flows are sourced in shards %d and %d; keep them in one shard or run with Shards <= 1",
+					td.Name, home, at)
+			}
+		}
 	}
 	shards := make([]sim.ShardConfig, s)
 	for i, n := range c.nets {
@@ -224,8 +241,8 @@ func (c *Cluster) finish() {
 	}
 	// Preprocessor stats roll up into the parent the caller holds.
 	if c.cfg.Preprocessor != nil {
-		for _, pp := range c.preps {
-			c.cfg.Preprocessor.Absorb(pp.Stats())
+		for _, n := range c.nets {
+			c.cfg.Preprocessor.Absorb(n.pre.Stats())
 		}
 	}
 	// Watchdog SLI state merges into the parent by absolute window index;

@@ -2,11 +2,15 @@ package netsim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"qvisor/internal/core"
 	"qvisor/internal/leaktest"
 	"qvisor/internal/obs"
+	"qvisor/internal/policy"
 	"qvisor/internal/rank"
 	"qvisor/internal/sched"
 	"qvisor/internal/sim"
@@ -298,6 +302,34 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("negative shard count must be rejected")
 	}
+
+	// A ranker with per-flow state may not be called from two shards: with
+	// two shards over four leaves, hosts 0-3 and 4-7 are separate pods.
+	stfq := func(srcs ...int) Config {
+		cfg := base()
+		cfg.Shards = 2
+		var flows []workload.FlowSpec
+		for _, src := range srcs {
+			flows = append(flows, workload.FlowSpec{Src: src, Dst: (src + 2) % 8, Size: 3000})
+		}
+		cfg.Tenants = []TenantDef{{ID: 1, Name: "fair", Ranker: rank.NewSTFQ(), Flows: flows}}
+		return cfg
+	}
+	if _, err := Build(stfq(0, 5)); err == nil || !strings.Contains(err.Error(), "per-flow state") {
+		t.Fatalf("STFQ sourced in two shards must be rejected, got %v", err)
+	}
+	for _, cfg := range []Config{stfq(0, 3), stfq(4, 7)} {
+		s, err := Build(cfg)
+		if err != nil {
+			t.Fatalf("STFQ sourced in one shard rejected: %v", err)
+		}
+		s.Close()
+	}
+	cfg = stfq(0, 5)
+	cfg.Shards = 1
+	if _, err := Build(cfg); err != nil {
+		t.Fatalf("STFQ on the single-threaded engine rejected: %v", err)
+	}
 }
 
 // TestBuildFacade: Build picks the engine from the config.
@@ -322,8 +354,9 @@ func TestBuildFacade(t *testing.T) {
 	s.Close()
 }
 
-// BenchmarkClusterScaling is the 1-vs-N-shard pair bench-smoke runs; the
-// committed numbers live in BENCH_shard.json. On a multi-core machine
+// BenchmarkClusterScaling is the 1-vs-N-shard pair; `bash bench/run.sh`
+// measures the same thing end to end as the fabric_sharded workload
+// (sim.coord_speedup_vs_1 in BENCHMARK.json). On a multi-core machine
 // N-shard wall time should shrink toward 1/N of single-shard; on one
 // core it measures the coordinator's overhead instead.
 func BenchmarkClusterScaling(b *testing.B) {
@@ -398,6 +431,53 @@ func TestClusterShardMetrics(t *testing.T) {
 	}
 	if again != windows {
 		t.Fatalf("idle FlushMetrics re-counted windows: %v -> %v", windows, again)
+	}
+}
+
+// TestClusterPreprocStatsMatchSingleThreaded: shard clones share the
+// parent pre-processor's compiled table and instruments, stage privately,
+// and roll back up — the parent's Stats and its qvisor_preproc_* series
+// after a sharded run equal the single-threaded run's.
+func TestClusterPreprocStatsMatchSingleThreaded(t *testing.T) {
+	run := func(shards int) (core.PreprocStats, []obs.FamilySnapshot) {
+		cfg := shardScenario(t, 10*sim.Millisecond)
+		jp, err := core.Synthesize([]*core.Tenant{
+			{ID: 1, Name: "t1", Algorithm: cfg.Tenants[0].Ranker},
+			{ID: 2, Name: "t2", Algorithm: cfg.Tenants[1].Ranker},
+		}, policy.MustParse("t1 + t2"), core.SynthOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		pp := core.NewPreprocessor(jp, core.UnknownWorst)
+		pp.EnableMetrics(reg, nil)
+		cfg.Preprocessor, cfg.Shards = pp, shards
+		s, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.Run()
+		var fams []obs.FamilySnapshot
+		for _, f := range reg.Snapshot().Families {
+			if strings.HasPrefix(f.Name, "qvisor_preproc_") {
+				fams = append(fams, f)
+			}
+		}
+		return pp.Stats(), fams
+	}
+	refStats, refFams := run(1)
+	if refStats.Processed == 0 || len(refFams) != 4 {
+		t.Fatalf("reference run: stats %+v, %d preproc families", refStats, len(refFams))
+	}
+	for _, shards := range []int{2, 4} {
+		st, fams := run(shards)
+		if st != refStats {
+			t.Errorf("shards=%d absorbed stats %+v, single-threaded %+v", shards, st, refStats)
+		}
+		if !reflect.DeepEqual(fams, refFams) {
+			t.Errorf("shards=%d preproc series diverge:\n got %+v\nwant %+v", shards, fams, refFams)
+		}
 	}
 }
 

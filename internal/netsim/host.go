@@ -5,7 +5,6 @@ import (
 
 	"qvisor/internal/pkt"
 	"qvisor/internal/rank"
-	"qvisor/internal/sched"
 	"qvisor/internal/sim"
 	"qvisor/internal/stats"
 	"qvisor/internal/trace"
@@ -24,15 +23,6 @@ type Host struct {
 	up      *Port
 	sending map[uint64]*sendFlow
 	cbrStop bool
-
-	// batch, preRank, and preID are the reusable staging area for
-	// Config.HostPreproc: the send window's packets, with their
-	// pre-transform ranks and IDs kept aside so the flight recorder can
-	// still attribute each rank rewrite after ApplyBatch compacts the
-	// batch.
-	batch   []*pkt.Packet
-	preRank []int64
-	preID   []uint64
 }
 
 func newHost(n *Network, id int) *Host {
@@ -115,72 +105,49 @@ func (sf *sendFlow) payload(idx int) int {
 	return mss
 }
 
-// trySend fills the window: retransmissions first, then new data.
+// trySend fills the window: retransmissions first, then new data. Each
+// packet is ranked, counted, booked in the send state and traced before it
+// goes to the uplink.
 func (sf *sendFlow) trySend(now sim.Time) {
 	if sf.completed {
 		return
 	}
 	n := sf.host.net
-	if n.cfg.HostPreproc && n.cfg.Preprocessor != nil {
-		sf.trySendBatch(now)
-		return
-	}
-	win := n.cfg.Window
-	for sf.inflight < win {
+	for sf.inflight < n.cfg.Window {
 		idx, retx := sf.nextToSend()
 		if idx < 0 {
 			break
 		}
-		p := sf.build(now, idx, retx)
+		payload := sf.payload(idx)
+		r := sf.td.Ranker.Rank(now, &sf.fl, payload)
+		if !retx {
+			sf.fl.Sent += int64(payload)
+			n.count.DataSent++
+		} else {
+			n.count.Retransmits++
+		}
+		if n.cfg.Controller != nil {
+			n.cfg.Controller.Observe(sf.td.ID, r)
+		}
+		p := n.pool.Get()
+		p.ID = n.pktID()
+		p.Flow = sf.id
+		p.Tenant = sf.td.ID
+		p.Rank = r
+		p.Size = payload + n.cfg.HeaderBytes
+		p.Src = sf.host.id
+		p.Dst = sf.spec.Dst
+		p.Seq = int64(idx)
+		p.Payload = payload
+		p.Kind = pkt.Data
+		p.Retx = retx
+		p.SentAt = now
+		sf.state[idx] = stInflight
+		sf.inflight++
+		sf.armTimer(now)
+		n.cfg.Trace.Record(now, trace.KindEmit, sf.host.name, p)
 		sf.host.up.send(now, p)
 	}
-}
-
-// trySendBatch is trySend under Config.HostPreproc: the window's packets
-// are built first, run through the pre-processor in one ApplyBatch call,
-// and only the admitted ones enter the host uplink, already tagged and in
-// the joint rank space. A rejected packet (unknown tenant under
-// UnknownDrop) counts as an admission drop at the host and stays unacked,
-// so the transport's RTO path recovers it exactly as it would a switch
-// drop.
-func (sf *sendFlow) trySendBatch(now sim.Time) {
-	h := sf.host
-	n := h.net
-	win := n.cfg.Window
-	h.batch, h.preRank, h.preID = h.batch[:0], h.preRank[:0], h.preID[:0]
-	for sf.inflight < win {
-		idx, retx := sf.nextToSend()
-		if idx < 0 {
-			break
-		}
-		p := sf.build(now, idx, retx)
-		p.Tagged = true
-		h.batch = append(h.batch, p)
-		h.preRank = append(h.preRank, p.Rank)
-		h.preID = append(h.preID, p.ID)
-	}
-	if len(h.batch) == 0 {
-		return
-	}
-	kept := n.cfg.Preprocessor.ApplyBatch(h.batch)
-	// The kept prefix preserves the build order, so a single cursor over
-	// the pre-transform record recovers each packet's original rank.
-	j := 0
-	for _, p := range h.batch[:kept] {
-		for h.preID[j] != p.ID {
-			j++
-		}
-		n.cfg.Trace.RecordTransform(now, h.name, p, h.preRank[j])
-		j++
-		h.up.send(now, p)
-	}
-	for _, p := range h.batch[kept:] {
-		n.countDrop(p.Tenant, sched.CauseAdmission)
-		n.cfg.Trace.RecordDrop(now, h.name, p, sched.CauseAdmission.String())
-		n.cfg.Watch.OnDrop(now, p, sched.CauseAdmission)
-		n.releasePkt(p)
-	}
-	h.batch = h.batch[:0]
 }
 
 func (sf *sendFlow) nextToSend() (int, bool) {
@@ -197,41 +164,6 @@ func (sf *sendFlow) nextToSend() (int, bool) {
 		return idx, false
 	}
 	return -1, false
-}
-
-// build constructs and books one data packet — rank, counters, send-state,
-// timer, emit trace — leaving only the uplink send to the caller.
-func (sf *sendFlow) build(now sim.Time, idx int, retx bool) *pkt.Packet {
-	n := sf.host.net
-	payload := sf.payload(idx)
-	r := sf.td.Ranker.Rank(now, &sf.fl, payload)
-	if !retx {
-		sf.fl.Sent += int64(payload)
-		n.count.DataSent++
-	} else {
-		n.count.Retransmits++
-	}
-	if n.cfg.Controller != nil {
-		n.cfg.Controller.Observe(sf.td.ID, r)
-	}
-	p := n.pool.Get()
-	p.ID = n.pktID()
-	p.Flow = sf.id
-	p.Tenant = sf.td.ID
-	p.Rank = r
-	p.Size = payload + n.cfg.HeaderBytes
-	p.Src = sf.host.id
-	p.Dst = sf.spec.Dst
-	p.Seq = int64(idx)
-	p.Payload = payload
-	p.Kind = pkt.Data
-	p.Retx = retx
-	p.SentAt = now
-	sf.state[idx] = stInflight
-	sf.inflight++
-	sf.armTimer(now)
-	n.cfg.Trace.Record(now, trace.KindEmit, sf.host.name, p)
-	return p
 }
 
 func (sf *sendFlow) armTimer(now sim.Time) {

@@ -63,25 +63,15 @@ type Config struct {
 	// switch (QVISOR deployed). Nil simulates the raw single-tenant
 	// scheduler.
 	Preprocessor *core.Preprocessor
-	// HostPreproc moves the pre-processor to the sending host's NIC for
-	// data packets: each send window is run through one
-	// Preprocessor.ApplyBatch call (dense-table, branch-free batch path)
-	// before entering the host uplink, instead of per-packet Process at
-	// the first switch — the §3.3 deployment variant where the rank
-	// rewrite happens in the hypervisor/NIC. Unknown-tenant rejections
-	// become admission drops at the host, before the packet spends any
-	// uplink capacity. Acks and CBR datagrams still transform at the
-	// first switch. Ignored without a Preprocessor.
-	HostPreproc bool
 	// Epochs, when non-nil, supplies the rank transformation per-packet
 	// from an RCU-style policy-generation store instead of a fixed
 	// Preprocessor: each packet pins the current epoch at its first
-	// switch, keeps that generation's transforms for its whole flight,
-	// and releases the pin at delivery or drop — so control-plane
-	// publishes never mix generations mid-flight. Mutually exclusive
-	// with Preprocessor (the preprocessor path mutates shared state the
-	// epoch path must not). Packets record their generation in
-	// Packet.Epoch and trace events.
+	// switch, is rewritten by that generation's table, and releases the
+	// pin at delivery or drop — so control-plane publishes never mix
+	// generations mid-flight. The network runs them through a
+	// pre-processor of its own (see PreprocStats). Mutually exclusive
+	// with Preprocessor. Packets record their generation in Packet.Epoch
+	// and trace events.
 	Epochs *core.EpochStore
 	// Controller, when non-nil, receives rank observations from hosts
 	// and runs a drift check every CheckInterval.
@@ -157,11 +147,10 @@ type Config struct {
 	//
 	// Constraints in sharded mode: Shards <= Leaves; Controller must be
 	// nil (its drift checks read host state across shards); Engine and
-	// Pool must be nil (each shard builds private ones); and every
-	// tenant's Ranker must either be stateless per Rank call (PFabric,
-	// EDF, LAS) or have all of the tenant's flows sourced inside one
-	// shard — a shared stateful ranker such as STFQ is a data race when
-	// its flows span shards.
+	// Pool must be nil (each shard builds private ones); and a tenant
+	// whose Ranker keeps per-flow state (a rank.FlowReleaser: STFQ,
+	// Composite) must have all of its flows sourced inside one shard.
+	// NewCluster rejects a config that breaks any of these.
 	Shards int
 	// ShardChanCap bounds the cross-shard handoff channel in sharded mode.
 	// Zero means sim.DefaultChanCap.
@@ -253,7 +242,8 @@ type Counters struct {
 type Network struct {
 	cfg    Config
 	eng    *sim.Engine
-	pool   *pkt.Pool // nil when pooling is disabled (nil-safe methods)
+	pool   *pkt.Pool          // nil when pooling is disabled (nil-safe methods)
+	pre    *core.Preprocessor // Config.Preprocessor, or the network's own under Config.Epochs
 	hosts  []*Host
 	leaves []*Switch
 	spines []*Switch
@@ -382,6 +372,7 @@ func build(cfg Config, part *partition) (*Network, error) {
 		cfg:  cfg,
 		eng:  eng,
 		pool: pool,
+		pre:  cfg.Preprocessor,
 		fcts: stats.NewCollector(),
 		part: part,
 	}
@@ -530,6 +521,32 @@ func (n *Network) FCTs() *stats.Collector { return n.fcts }
 // Counters returns a snapshot of the packet counters.
 func (n *Network) Counters() Counters { return n.count }
 
+// PreprocStats returns the counters of the pre-processor the switches run
+// (zero without one). Under Config.Epochs that is the network's own, whose
+// qvisor_preproc_* series go to Config.Registry.
+func (n *Network) PreprocStats() core.PreprocStats { return n.pre.Stats() }
+
+// preprocFor returns the pre-processor that rewrites p at its first
+// switch. Under Config.Epochs it first pins p to the live policy
+// generation — whose table stays in force for this packet until delivery
+// or drop, even if the control plane publishes newer epochs meanwhile —
+// and points the pre-processor at it; nil before the first publish.
+func (n *Network) preprocFor(p *pkt.Packet) *core.Preprocessor {
+	if es := n.cfg.Epochs; es != nil {
+		e := es.Acquire()
+		if e == nil {
+			return nil
+		}
+		p.Epoch = e.Gen
+		if n.pre == nil {
+			n.pre = e.Preprocessor()
+			n.pre.EnableMetrics(n.cfg.Registry, n.tenantName)
+		}
+		n.pre.Pin(e)
+	}
+	return n.pre
+}
+
 // Run executes the simulation until the horizon, then lets in-flight
 // traffic drain for up to one extra horizon so flows started near the end
 // can complete.
@@ -616,10 +633,11 @@ func (n *Network) PortStats() []PortStats {
 
 // FlushMetrics publishes the staged telemetry into the registry: per-port
 // tx/drop counter deltas, the lazily computed per-port gauges (utilization,
-// queue high-water mark), and the per-role scheduler stages. Run and
-// PortStats call it; call it directly only when scraping mid-simulation. A
-// no-op without a registry.
+// queue high-water mark), the per-role scheduler stages and the
+// pre-processor's per-tenant stage. Run and PortStats call it; call it
+// directly only when scraping mid-simulation.
 func (n *Network) FlushMetrics() {
+	n.pre.Flush()
 	if n.cfg.Registry == nil {
 		return
 	}

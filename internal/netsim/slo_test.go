@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"testing"
 
+	"qvisor/internal/core"
 	"qvisor/internal/pkt"
+	"qvisor/internal/policy"
 	"qvisor/internal/rank"
 	"qvisor/internal/sched"
 	"qvisor/internal/sim"
@@ -277,4 +279,65 @@ func benchSteady(b *testing.B, n *Network) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(eng.Fired())/float64(b.N), "events/op")
+}
+
+// TestSwitchAdmissionDropsReachWatchdog: a tenant outside the joint policy
+// under core.UnknownDrop is rejected by the pre-processor at its first
+// switch — a drop outside any port scheduler. The watchdog (sampling 1 in
+// 1) must book every one of them against the tenant, the flow must keep
+// retrying via RTO without ever completing, and packet conservation must
+// hold with nothing left in the pool.
+func TestSwitchAdmissionDropsReachWatchdog(t *testing.T) {
+	pfA := &rank.PFabric{MaxFlowBytes: 1 << 20}
+	jp, err := core.Synthesize([]*core.Tenant{
+		{ID: 1, Name: "a", Algorithm: pfA},
+	}, policy.MustParse("a"), core.SynthOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tiny([]TenantDef{
+		{ID: 1, Name: "a", Ranker: pfA, Flows: []workload.FlowSpec{
+			{Start: 0, Src: 0, Dst: 2, Size: 30000},
+		}},
+		{ID: 2, Name: "b", Ranker: &rank.PFabric{MaxFlowBytes: 1 << 20}, Flows: []workload.FlowSpec{
+			{Start: 0, Src: 1, Dst: 3, Size: 30000},
+		}},
+	}, 10*sim.Millisecond)
+	pp := core.NewPreprocessor(jp, core.UnknownDrop)
+	w := slo.New(slo.Config{SampleN: 1})
+	cfg.Preprocessor, cfg.Watch = pp, w
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	if a, b := n.FCTs().Tenant("a"), n.FCTs().Tenant("b"); len(a) != 1 || len(b) != 0 {
+		t.Fatalf("completed flows: known tenant %d (want 1), unknown tenant %d (want 0)", len(a), len(b))
+	}
+	c := n.Counters()
+	if c.Dropped == 0 || c.Retransmits == 0 {
+		t.Fatalf("no admission drops or no RTO recovery: %+v", c)
+	}
+	if st := pp.Stats(); st.Unknown != c.Dropped {
+		t.Fatalf("pre-processor rejected %d packets, network dropped %d", st.Unknown, c.Dropped)
+	}
+	snap := w.Snapshot()
+	var booked uint64
+	for _, ts := range snap.Tenants {
+		if ts.Tenant == "tenant2" {
+			booked = ts.Drops[sched.CauseAdmission.String()]
+		} else if len(ts.Drops) != 0 {
+			t.Errorf("drops booked against %s: %v", ts.Tenant, ts.Drops)
+		}
+	}
+	if booked != c.Dropped || snap.Global.SampledDrops != c.Dropped {
+		t.Fatalf("watchdog booked %d admission drops (%d sampled drops in all), counters have %d",
+			booked, snap.Global.SampledDrops, c.Dropped)
+	}
+	if sent := c.DataSent + c.Retransmits + c.AcksSent + c.CBRSent; c.Delivered+c.Dropped != sent {
+		t.Fatalf("conservation violated: sent=%d delivered+dropped=%d (%+v)", sent, c.Delivered+c.Dropped, c)
+	}
+	if out := n.Pool().Outstanding(); out != 0 {
+		t.Fatalf("pool outstanding = %d after run, want 0 (switch drop leaked)", out)
+	}
 }

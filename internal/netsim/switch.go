@@ -53,28 +53,12 @@ func newSwitch(n *Network, kind switchKind, id, nports int) *Switch {
 func (sw *Switch) receive(now sim.Time, p *pkt.Packet) {
 	n := sw.net
 	n.cfg.Trace.Record(now, trace.KindArrive, sw.name, p)
-	if pp := n.cfg.Preprocessor; pp != nil && !p.Tagged {
+	if !p.Tagged && (n.pre != nil || n.cfg.Epochs != nil) {
 		p.Tagged = true
-		pre := p.Rank
-		if !pp.Process(p) {
-			n.countDrop(p.Tenant, sched.CauseAdmission)
-			n.cfg.Trace.RecordDrop(now, sw.name, p, sched.CauseAdmission.String())
-			n.releasePkt(p)
-			return
-		}
-		n.cfg.Trace.RecordTransform(now, sw.name, p, pre)
-	} else if es := n.cfg.Epochs; es != nil && !p.Tagged {
-		p.Tagged = true
-		// Pin the packet to the live policy generation: its transforms
-		// stay in force for this packet until delivery or drop, even if
-		// the control plane publishes newer epochs meanwhile.
-		if e := es.Acquire(); e != nil {
-			p.Epoch = e.Gen
+		if pp := n.preprocFor(p); pp != nil {
 			pre := p.Rank
-			if !e.Process(p) {
-				n.countDrop(p.Tenant, sched.CauseAdmission)
-				n.cfg.Trace.RecordDrop(now, sw.name, p, sched.CauseAdmission.String())
-				n.releasePkt(p)
+			if !pp.Process(p) {
+				sw.drop(now, p, sched.CauseAdmission)
 				return
 			}
 			n.cfg.Trace.RecordTransform(now, sw.name, p, pre)
@@ -82,12 +66,20 @@ func (sw *Switch) receive(now sim.Time, p *pkt.Packet) {
 	}
 	out := sw.route(p)
 	if out == nil {
-		n.countDrop(p.Tenant, sched.CauseFault)
-		n.cfg.Trace.RecordDrop(now, sw.name, p, sched.CauseFault.String())
-		n.releasePkt(p)
+		sw.drop(now, p, sched.CauseFault)
 		return
 	}
 	out.send(now, p)
+}
+
+// drop removes a packet the switch itself refuses — outside any port
+// scheduler, so it is reported here to every observer a port drop reaches.
+func (sw *Switch) drop(now sim.Time, p *pkt.Packet, cause sched.DropCause) {
+	n := sw.net
+	n.countDrop(p.Tenant, cause)
+	n.cfg.Trace.RecordDrop(now, sw.name, p, cause.String())
+	n.cfg.Watch.OnDrop(now, p, cause)
+	n.releasePkt(p)
 }
 
 func (sw *Switch) route(p *pkt.Packet) *Port {
