@@ -650,11 +650,8 @@ func runSPPIFO(r *Report, ctx *diffCtx, st *BackendStats) {
 func runCalendar(r *Report, ctx *diffCtx, st *BackendStats) {
 	sc := ctx.sc
 	buckets := 16
-	span := sc.Joint.Output.Span() + 2 // +1 for the UnknownWorst rank
-	width := (span + int64(buckets) - 1) / int64(buckets)
-	if width < 1 {
-		width = 1
-	}
+	// +1 for the UnknownWorst rank
+	width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
 	res, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
 		return sched.NewCalendar(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, buckets, width), nil
 	}, nil)
@@ -708,12 +705,9 @@ func runCalendar(r *Report, ctx *diffCtx, st *BackendStats) {
 // chains, re-filed in arrival order on rebase).
 func runBucketQ(r *Report, ctx *diffCtx, st *BackendStats) {
 	sc := ctx.sc
-	buckets := 128                     // exercises both FFS bitmap levels (two words + summary)
-	span := sc.Joint.Output.Span() + 2 // +1 for the UnknownWorst rank
-	width := (span + int64(buckets) - 1) / int64(buckets)
-	if width < 1 {
-		width = 1
-	}
+	buckets := 128 // exercises both FFS bitmap levels (two words + summary)
+	// +1 for the UnknownWorst rank
+	width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
 	res, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
 		return sched.NewBucketQ(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, buckets, width), nil
 	}, nil)

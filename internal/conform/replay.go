@@ -370,20 +370,12 @@ func replayBackends() []replayBackendDef {
 		}},
 		{"calendar", func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error) {
 			buckets := 16
-			span := sc.Joint.Output.Span() + 2
-			width := (span + int64(buckets) - 1) / int64(buckets)
-			if width < 1 {
-				width = 1
-			}
+			width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
 			return sched.NewCalendar(cfg, buckets, width), nil
 		}},
 		{"bucketq", func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error) {
 			buckets := 128
-			span := sc.Joint.Output.Span() + 2
-			width := (span + int64(buckets) - 1) / int64(buckets)
-			if width < 1 {
-				width = 1
-			}
+			width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
 			return sched.NewBucketQ(cfg, buckets, width), nil
 		}},
 		{"aifo", func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
@@ -592,29 +584,15 @@ func rankDispPerPacket(f BackendFidelity) float64 {
 	return float64(f.RankDisplacement) / float64(f.Matched)
 }
 
-// profileBackends maps replay discipline names to deployment backends.
-// DRR has no deployment backend (it realizes fair sharing, not rank
-// order), so it contributes no profile.
-var profileBackends = map[string]core.Backend{
-	"pifo":      core.BackendPIFO,
-	"fifo":      core.BackendFIFO,
-	"sp-queues": core.BackendSPQueues,
-	"sppifo":    core.BackendSPPIFO,
-	"aifo":      core.BackendAIFO,
-	"calendar":  core.BackendCalendar,
-	"bucketq":   core.BackendBucketQ,
-	"admission": core.BackendAdmission,
-}
-
 // Profiles distills the scoreboard into the fidelity profiles the
 // synthesizer's backend auto-selection consumes (core.SelectBackend,
-// JointPolicy.DeployBest). Rows without a deployment backend (DRR) or
-// without scenarios are skipped.
+// JointPolicy.DeployBest). Rows without a deployment backend (DRR realizes
+// fair sharing, not rank order) or without scenarios are skipped.
 func (r *ReplayReport) Profiles() []core.FidelityProfile {
 	var out []core.FidelityProfile
 	for _, f := range r.Backends {
-		b, ok := profileBackends[f.Backend]
-		if !ok || f.Scenarios == 0 {
+		b, err := core.ParseBackend(f.Backend)
+		if err != nil || f.Scenarios == 0 {
 			continue
 		}
 		out = append(out, core.FidelityProfile{

@@ -287,7 +287,7 @@ func TestReplayProfiles(t *testing.T) {
 	}
 	byBackend := map[core.Backend]BackendFidelity{}
 	for _, f := range r.Backends {
-		if b, ok := profileBackends[f.Backend]; ok {
+		if b, err := core.ParseBackend(f.Backend); err == nil {
 			byBackend[b] = f
 		}
 	}

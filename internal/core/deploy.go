@@ -49,6 +49,63 @@ const (
 	numBackends
 )
 
+// backendTable is the one description of each backend: the name
+// Backend.String prints and ParseBackend reads (plus one accepted alias),
+// whether it sizes a queue bank from DeployOptions.Queues (and so is held
+// to sched.MaxQueues), which device targets can realize it, and how a
+// joint policy builds it.
+var backendTable = [numBackends]struct {
+	name, alias string
+	banked      bool
+	needs       func(t Target) bool
+	build       func(jp *JointPolicy, opts DeployOptions) (*Deployment, error)
+}{
+	BackendPIFO: {name: "pifo",
+		needs: func(t Target) bool { return t.Sorted },
+		build: func(_ *JointPolicy, o DeployOptions) (*Deployment, error) { return onto(sched.NewPIFO(o.Sched)) }},
+	BackendSPQueues: {name: "sp-queues", alias: "spqueues", banked: true,
+		needs: hasQueueBank,
+		build: func(jp *JointPolicy, o DeployOptions) (*Deployment, error) { return jp.deploySPQueues(o, nil) }},
+	BackendSPPIFO: {name: "sp-pifo", alias: "sppifo", banked: true,
+		needs: hasQueueBank,
+		build: func(_ *JointPolicy, o DeployOptions) (*Deployment, error) {
+			return onto(sched.NewSPPIFO(o.Sched, o.Queues))
+		}},
+	BackendAIFO: {name: "aifo",
+		needs: func(t Target) bool { return t.Admission },
+		build: func(_ *JointPolicy, o DeployOptions) (*Deployment, error) {
+			return onto(sched.NewAIFO(sched.AIFOConfig{Config: o.Sched}))
+		}},
+	BackendCalendar: {name: "calendar", banked: true,
+		needs: hasQueueBank,
+		build: func(jp *JointPolicy, o DeployOptions) (*Deployment, error) {
+			width := sched.BucketWidth(jp.Output.Span()+1, o.Queues)
+			return onto(sched.NewCalendar(o.Sched, o.Queues, width))
+		}},
+	BackendFIFO: {name: "fifo",
+		needs: func(Target) bool { return true },
+		build: func(_ *JointPolicy, o DeployOptions) (*Deployment, error) { return onto(sched.NewFIFO(o.Sched)) }},
+	BackendAdmission: {name: "admission", banked: true,
+		needs: func(t Target) bool { return t.Admission && hasQueueBank(t) },
+		build: func(_ *JointPolicy, o DeployOptions) (*Deployment, error) {
+			return onto(sched.NewAdmission(sched.AdmissionConfig{Config: o.Sched, Queues: o.Queues}))
+		}},
+	// A software structure, not a hardware queue bank: the ring is fixed
+	// at 1024 buckets regardless of opts.Queues, and the width stretches
+	// the joint output range (plus the UnknownWorst rank) across the
+	// horizon so steady traffic never touches the overflow FIFO.
+	BackendBucketQ: {name: "bucketq",
+		needs: hasQueueBank,
+		build: func(jp *JointPolicy, o DeployOptions) (*Deployment, error) {
+			width := sched.BucketWidth(jp.Output.Span()+2, bucketQDeployBuckets)
+			return onto(sched.NewBucketQ(o.Sched, bucketQDeployBuckets, width))
+		}},
+}
+
+func hasQueueBank(t Target) bool { return t.Queues > 1 }
+
+func onto(s sched.Scheduler) (*Deployment, error) { return &Deployment{Scheduler: s}, nil }
+
 // Backends lists every deployable backend in enum order.
 func Backends() []Backend {
 	out := make([]Backend, 0, int(numBackends))
@@ -62,49 +119,21 @@ func Backends() []Backend {
 // ("pifo", "sp-queues", "sp-pifo", "aifo", "calendar", "fifo",
 // "admission", "bucketq"), accepting "sppifo" and "spqueues" as aliases.
 func ParseBackend(name string) (Backend, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "pifo":
-		return BackendPIFO, nil
-	case "sp-queues", "spqueues":
-		return BackendSPQueues, nil
-	case "sp-pifo", "sppifo":
-		return BackendSPPIFO, nil
-	case "aifo":
-		return BackendAIFO, nil
-	case "calendar":
-		return BackendCalendar, nil
-	case "fifo":
-		return BackendFIFO, nil
-	case "admission":
-		return BackendAdmission, nil
-	case "bucketq":
-		return BackendBucketQ, nil
+	key := strings.ToLower(strings.TrimSpace(name))
+	for b := range backendTable {
+		if d := &backendTable[b]; key == d.name || (d.alias != "" && key == d.alias) {
+			return Backend(b), nil
+		}
 	}
 	return 0, fmt.Errorf("core: unknown backend %q", name)
 }
 
 // String implements fmt.Stringer.
 func (b Backend) String() string {
-	switch b {
-	case BackendPIFO:
-		return "pifo"
-	case BackendSPQueues:
-		return "sp-queues"
-	case BackendSPPIFO:
-		return "sp-pifo"
-	case BackendAIFO:
-		return "aifo"
-	case BackendCalendar:
-		return "calendar"
-	case BackendFIFO:
-		return "fifo"
-	case BackendAdmission:
-		return "admission"
-	case BackendBucketQ:
-		return "bucketq"
-	default:
+	if b < 0 || b >= numBackends {
 		return fmt.Sprintf("backend(%d)", int(b))
 	}
+	return backendTable[b].name
 }
 
 // bucketQDeployBuckets is the ring size BackendBucketQ deploys with: 1024
@@ -161,53 +190,28 @@ func (d *Deployment) Describe() string {
 
 // Deploy compiles the joint policy onto the chosen backend, returning the
 // ready-to-use scheduler. The pre-processor must still run in front of it;
-// Deploy only configures the queueing stage.
+// Deploy only configures the queueing stage. A queue-bank backend asked
+// for more than sched.MaxQueues queues is an error: the count comes from
+// flags and API requests and sizes the bank.
 func (jp *JointPolicy) Deploy(backend Backend, opts DeployOptions) (*Deployment, error) {
-	opts = opts.defaults()
-	switch backend {
-	case BackendPIFO:
-		return &Deployment{Backend: backend, Scheduler: sched.NewPIFO(opts.Sched)}, nil
-	case BackendFIFO:
-		return &Deployment{Backend: backend, Scheduler: sched.NewFIFO(opts.Sched)}, nil
-	case BackendSPPIFO:
-		return &Deployment{Backend: backend, Scheduler: sched.NewSPPIFO(opts.Sched, opts.Queues)}, nil
-	case BackendAIFO:
-		return &Deployment{Backend: backend, Scheduler: sched.NewAIFO(sched.AIFOConfig{Config: opts.Sched})}, nil
-	case BackendAdmission:
-		return &Deployment{
-			Backend:   backend,
-			Scheduler: sched.NewAdmission(sched.AdmissionConfig{Config: opts.Sched, Queues: opts.Queues}),
-		}, nil
-	case BackendCalendar:
-		span := jp.Output.Span() + 1
-		width := (span + int64(opts.Queues) - 1) / int64(opts.Queues)
-		if width < 1 {
-			width = 1
-		}
-		return &Deployment{
-			Backend:   backend,
-			Scheduler: sched.NewCalendar(opts.Sched, opts.Queues, width),
-		}, nil
-	case BackendBucketQ:
-		// A software structure, not a hardware queue bank: the ring is
-		// fixed at 1024 buckets regardless of opts.Queues, and the width
-		// stretches the joint output range (plus the UnknownWorst rank)
-		// across the horizon so steady traffic never touches the
-		// overflow FIFO.
-		span := jp.Output.Span() + 2
-		width := (span + bucketQDeployBuckets - 1) / bucketQDeployBuckets
-		if width < 1 {
-			width = 1
-		}
-		return &Deployment{
-			Backend:   backend,
-			Scheduler: sched.NewBucketQ(opts.Sched, bucketQDeployBuckets, width),
-		}, nil
-	case BackendSPQueues:
-		return jp.deploySPQueues(opts)
-	default:
+	if backend < 0 || backend >= numBackends {
 		return nil, fmt.Errorf("core: unknown backend %v", backend)
 	}
+	opts = opts.defaults()
+	desc := &backendTable[backend]
+	if desc.banked && opts.Queues > sched.MaxQueues {
+		return nil, errTooManyQueues(opts.Queues, backend)
+	}
+	d, err := desc.build(jp, opts)
+	if err != nil {
+		return nil, err
+	}
+	d.Backend = backend
+	return d, nil
+}
+
+func errTooManyQueues(n int, b Backend) error {
+	return fmt.Errorf("core: %d queues exceed the %d a %v deployment may have", n, sched.MaxQueues, b)
 }
 
 // DeploySPActive deploys onto strict-priority queues like BackendSPQueues,
@@ -219,6 +223,9 @@ func (jp *JointPolicy) Deploy(backend Backend, opts DeployOptions) (*Deployment,
 // the next reallocation.
 func (jp *JointPolicy) DeploySPActive(opts DeployOptions, active []string) (*Deployment, error) {
 	opts = opts.defaults()
+	if opts.Queues > sched.MaxQueues {
+		return nil, errTooManyQueues(opts.Queues, BackendSPQueues)
+	}
 	activeSet := make(map[string]bool, len(active))
 	for _, name := range active {
 		activeSet[name] = true
@@ -235,22 +242,16 @@ func (jp *JointPolicy) DeploySPActive(opts DeployOptions, active []string) (*Dep
 		}
 	}
 	if !any {
-		// Nothing active: fall back to the full allocation.
-		return jp.deploySPQueuesFiltered(opts, nil)
+		keep = nil // nothing active: fall back to the full allocation
 	}
-	return jp.deploySPQueuesFiltered(opts, keep)
+	return jp.deploySPQueues(opts, keep)
 }
 
-// deploySPQueues allocates strict-priority queues to tiers proportionally
-// to their rank-band widths (each tier gets at least one queue) and splits
-// each tier's band evenly across its queues.
-func (jp *JointPolicy) deploySPQueues(opts DeployOptions) (*Deployment, error) {
-	return jp.deploySPQueuesFiltered(opts, nil)
-}
-
-// deploySPQueuesFiltered implements deploySPQueues over the subset of
-// tiers marked in keep (nil = all tiers).
-func (jp *JointPolicy) deploySPQueuesFiltered(opts DeployOptions, keep []bool) (*Deployment, error) {
+// deploySPQueues allocates strict-priority queues to the tiers marked in
+// keep (nil = all tiers) proportionally to their rank-band widths (each
+// tier gets at least one queue) and splits each tier's band evenly across
+// its queues.
+func (jp *JointPolicy) deploySPQueues(opts DeployOptions, keep []bool) (*Deployment, error) {
 	tiers := jp.Tiers
 	tierIdx := make([]int, 0, len(tiers))
 	for ti := range tiers {

@@ -45,6 +45,35 @@ func TestDeployUnknownBackend(t *testing.T) {
 	}
 }
 
+// TestDeployFailsClosed: the queue count reaches Deploy from flags and API
+// requests (cmd/qvisor -queues N) and sizes the bank, so every backend
+// that builds one rejects a count above sched.MaxQueues instead of
+// allocating it; at the bound it deploys. Backends that ignore the count
+// are unaffected.
+func TestDeployFailsClosed(t *testing.T) {
+	jp := twoTierPolicy(t)
+	for _, b := range Backends() {
+		if _, err := jp.Deploy(b, DeployOptions{Queues: sched.MaxQueues}); err != nil {
+			t.Errorf("Deploy(%v, %d queues): %v", b, sched.MaxQueues, err)
+		}
+		for _, n := range []int{sched.MaxQueues + 1, 2000000000} {
+			d, err := jp.Deploy(b, DeployOptions{Queues: n})
+			banked := b == BackendSPQueues || b == BackendSPPIFO || b == BackendCalendar || b == BackendAdmission
+			switch {
+			case banked && err == nil:
+				t.Errorf("Deploy(%v, %d queues) built %s, want an error", b, n, d.Scheduler.Name())
+			case banked && !strings.Contains(err.Error(), "4096"):
+				t.Errorf("Deploy(%v, %d queues): error %q does not state the bound", b, n, err)
+			case !banked && err != nil:
+				t.Errorf("Deploy(%v, %d queues): %v (the backend ignores the count)", b, n, err)
+			}
+		}
+	}
+	if _, err := jp.DeploySPActive(DeployOptions{Queues: 2000000000}, []string{"hi"}); err == nil {
+		t.Error("DeploySPActive with 2000000000 queues should error")
+	}
+}
+
 func TestBackendString(t *testing.T) {
 	for b, want := range map[Backend]string{
 		BackendPIFO: "pifo", BackendSPQueues: "sp-queues", BackendSPPIFO: "sp-pifo",

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Replay-fidelity-driven backend selection.
 //
@@ -60,28 +57,21 @@ func (p FidelityProfile) Score() float64 {
 		weightDropDiverge*p.DropDivergenceRate
 }
 
-// SupportedBackends lists the deployment backends a device target can
-// realize: every device has at least a FIFO; a sorted queue realizes the
+// SupportedBackends lists, in enum order, the deployment backends a device
+// target can realize (each backend's needs predicate in the backend
+// table): every device has at least a FIFO; a sorted queue realizes the
 // ideal PIFO; a bank of priority queues realizes the static SP mapping,
 // the adaptive SP-PIFO, a calendar, and the FFS bucket queue (a rotating
 // bucket bank, like the calendar but indexed in O(1)); an admission stage
 // realizes AIFO, and combined with a queue bank the admission+scheduling
 // discipline.
 func (t Target) SupportedBackends() []Backend {
-	out := []Backend{BackendFIFO}
-	if t.Sorted {
-		out = append(out, BackendPIFO)
-	}
-	if t.Queues > 1 {
-		out = append(out, BackendSPQueues, BackendSPPIFO, BackendCalendar, BackendBucketQ)
-	}
-	if t.Admission {
-		out = append(out, BackendAIFO)
-		if t.Queues > 1 {
-			out = append(out, BackendAdmission)
+	var out []Backend
+	for b := range backendTable {
+		if backendTable[b].needs(t) {
+			out = append(out, Backend(b))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -149,8 +149,15 @@ func TestBackendsAndParse(t *testing.T) {
 			t.Fatalf("ParseBackend(%q) = %v, want %v", name, got, b)
 		}
 	}
-	if _, err := ParseBackend("nope"); err == nil {
-		t.Fatal("unknown backend name accepted")
+	for alias, want := range map[string]Backend{"sppifo": BackendSPPIFO, " SpQueues ": BackendSPQueues} {
+		if got, err := ParseBackend(alias); err != nil || got != want {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", alias, got, err, want)
+		}
+	}
+	for _, name := range []string{"nope", ""} {
+		if _, err := ParseBackend(name); err == nil {
+			t.Errorf("ParseBackend(%q) accepted", name)
+		}
 	}
 }
 

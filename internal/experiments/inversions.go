@@ -103,14 +103,11 @@ func InversionStudyRng(count int, rng *rand.Rand) ([]InversionResult, error) {
 			return sched.NewSPPIFO(sched.Config{CapacityBytes: 1 << 30, OnDrop: d}, 32)
 		}},
 		{"calendar:32", func(d sched.DropFn) sched.Scheduler {
-			width := (jp.Output.Span() + 31) / 32
+			width := sched.BucketWidth(jp.Output.Span(), 32)
 			return sched.NewCalendar(sched.Config{CapacityBytes: 1 << 30, OnDrop: d}, 32, width)
 		}},
 		{"bucketq:128", func(d sched.DropFn) sched.Scheduler {
-			width := (jp.Output.Span() + 127) / 128
-			if width < 1 {
-				width = 1
-			}
+			width := sched.BucketWidth(jp.Output.Span(), 128)
 			return sched.NewBucketQ(sched.Config{CapacityBytes: 1 << 30, OnDrop: d}, 128, width)
 		}},
 		{"aifo", func(d sched.DropFn) sched.Scheduler {

@@ -27,7 +27,7 @@ type Port struct {
 	// that order, so two persistent event callbacks (txDone, arrive) can
 	// replace the pair of per-packet closures the transmit path used to
 	// allocate.
-	inflight pktRing
+	inflight pkt.Ring
 	txDone   sim.Event
 	arrive   sim.Event
 
@@ -92,7 +92,7 @@ func (n *Network) newPort(role string, id int, name string, rateBps float64, del
 		n.releasePkt(p)
 	})
 	pt.arrive = func(now sim.Time) {
-		pt.deliver(now, pt.inflight.pop())
+		pt.deliver(now, pt.inflight.Pop())
 	}
 	pt.txDone = func(end sim.Time) {
 		pt.busy = false
@@ -143,46 +143,8 @@ func (pt *Port) kick(now sim.Time) {
 	pt.txBytes += uint64(p.Size)
 	pt.txPackets++
 	pt.busyTime += tx
-	pt.inflight.push(p)
+	pt.inflight.Push(p)
 	pt.net.eng.After(tx, pt.txDone)
-}
-
-// pktRing is a growable FIFO of packets on the wire.
-type pktRing struct {
-	buf  []*pkt.Packet
-	head int
-	n    int
-}
-
-func (r *pktRing) push(p *pkt.Packet) {
-	if r.n == len(r.buf) {
-		next := make([]*pkt.Packet, maxInt(4, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			next[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf = next
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
-	r.n++
-}
-
-func (r *pktRing) pop() *pkt.Packet {
-	if r.n == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return p
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // newRemotePort builds a port whose receiving device lives on another
@@ -197,7 +159,7 @@ func (n *Network) newRemotePort(role string, id int, name string, rateBps float6
 	pt.arrive = nil
 	pt.txDone = func(end sim.Time) {
 		pt.busy = false
-		n.part.handoff(end+n.cfg.PropDelay, link, dst, pt.inflight.pop())
+		n.part.handoff(end+n.cfg.PropDelay, link, dst, pt.inflight.Pop())
 		pt.kick(end)
 	}
 	return pt

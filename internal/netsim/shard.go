@@ -71,7 +71,7 @@ func linkSpineLeaf(cfg *Config, si, li int) uint64 {
 // are injected in (At, Seq) order and the engine breaks timestamp ties by
 // insertion order.
 type inboundRing struct {
-	ring pktRing
+	ring pkt.Ring
 	fire sim.Event
 }
 
@@ -79,7 +79,7 @@ type inboundRing struct {
 func (n *Network) armInbound(link uint64, deliver func(sim.Time, *pkt.Packet)) {
 	r := &n.inbound[link]
 	r.fire = func(now sim.Time) {
-		deliver(now, r.ring.pop())
+		deliver(now, r.ring.Pop())
 	}
 }
 
@@ -94,6 +94,6 @@ func (n *Network) inject(m sim.Message) {
 	if r.fire == nil {
 		panic("netsim: cross-shard message on a link this shard does not receive")
 	}
-	r.ring.push(p)
+	r.ring.Push(p)
 	n.eng.At(m.At, r.fire)
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"qvisor/internal/pkt"
 )
@@ -31,15 +32,13 @@ import (
 // of the window, amortizing the sort; they are monotone non-decreasing by
 // construction (quantiles of one sorted sample). Until the window first
 // fills, the discipline admits everything and behaves as a single FIFO
-// (queue 0), again like AIFO's cold start.
+// (queue 0), again like AIFO's cold start. With one queue there is nothing
+// left to map and the discipline is AIFO itself: NewAIFO builds it so.
 type Admission struct {
-	cfg    Config
-	queues []ring
-	qbytes []int
+	bank
+	name   string
 	bounds []int64 // bounds[i]: highest rank mapped to queue i (dynamic)
 	warm   bool    // window filled at least once; bounds are live
-	n      int
-	bytes  int
 
 	window  []int64 // circular buffer of recent ranks
 	sorted  []int64 // scratch for the quantile refresh (kept warm)
@@ -48,7 +47,6 @@ type Admission struct {
 	k       float64
 	refresh int // arrivals until the next bound refresh
 	every   int
-	stats   Stats
 }
 
 // AdmissionConfig parametrizes the combined admission+scheduling backend.
@@ -93,11 +91,9 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 		panic(fmt.Sprintf("sched: NewAdmission with updateEvery=%d", cfg.UpdateEvery))
 	}
 	return &Admission{
-		cfg:    cfg.Config,
-		queues: make([]ring, cfg.Queues),
-		qbytes: make([]int, cfg.Queues),
+		bank:   newBank(cfg.Config, cfg.Queues),
+		name:   fmt.Sprintf("admission%d", cfg.Queues),
 		bounds: make([]int64, cfg.Queues),
-		n:      cfg.Queues,
 		window: make([]int64, cfg.WindowSize),
 		sorted: make([]int64, cfg.WindowSize),
 		k:      cfg.Burst,
@@ -106,28 +102,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 }
 
 // Name implements Scheduler.
-func (q *Admission) Name() string { return fmt.Sprintf("admission%d", q.n) }
-
-// NumQueues returns the number of strict-priority queues.
-func (q *Admission) NumQueues() int { return q.n }
-
-// Len implements Scheduler.
-func (q *Admission) Len() int {
-	total := 0
-	for i := range q.queues {
-		total += q.queues[i].n
-	}
-	return total
-}
-
-// Bytes implements Scheduler.
-func (q *Admission) Bytes() int { return q.bytes }
-
-// Stats returns a snapshot of the scheduler's counters.
-func (q *Admission) Stats() Stats { return q.stats }
-
-// SetMetrics implements MetricsSetter.
-func (q *Admission) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
+func (q *Admission) Name() string { return q.name }
 
 // Bound returns queue i's current dynamic rank bound (the highest rank the
 // queue accepts), for tests and inspection. Meaningful once the window has
@@ -160,13 +135,9 @@ func (q *Admission) Enqueue(p *pkt.Packet) bool {
 	// offered load rather than the survivors.
 	q.observe(p.Rank)
 	if !admit {
-		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
-		q.cfg.drop(p, cause)
-		return false
+		return q.refuse(p, cause)
 	}
-	q.put(q.queueFor(p.Rank), p)
-	return true
+	return q.put(q.queueFor(p.Rank), p)
 }
 
 // queueFor maps a rank to its strict-priority queue: the first queue whose
@@ -176,22 +147,13 @@ func (q *Admission) queueFor(rank int64) int {
 	if !q.warm {
 		return 0
 	}
-	for i := 0; i < q.n-1; i++ {
+	last := len(q.bounds) - 1
+	for i := 0; i < last; i++ {
 		if rank <= q.bounds[i] {
 			return i
 		}
 	}
-	return q.n - 1
-}
-
-func (q *Admission) put(i int, p *pkt.Packet) {
-	q.queues[i].push(p)
-	q.qbytes[i] += p.Size
-	q.bytes += p.Size
-	q.stats.Enqueued++
-	if m := q.cfg.Metrics; m != nil { // guard: Len is O(queues)
-		m.onEnqueue(p, q.Len(), q.bytes)
-	}
+	return last
 }
 
 func (q *Admission) observe(rank int64) {
@@ -216,12 +178,17 @@ func (q *Admission) refreshBounds() {
 		return // cold: keep FIFO behaviour until the sample is full
 	}
 	q.warm = true
+	if len(q.bounds) == 1 {
+		// One queue places nothing by bound, and the sort would double
+		// AIFO's per-packet cost (≈60 → ≈120 ns enqueue+dequeue).
+		return
+	}
 	copy(q.sorted, q.window)
-	sortInt64s(q.sorted)
+	slices.Sort(q.sorted)
 	n := len(q.sorted)
-	for i := 0; i < q.n; i++ {
+	for i := range q.bounds {
 		// Index of quantile (i+1)/n, clamped to the last sample.
-		idx := (i + 1) * n / q.n
+		idx := (i + 1) * n / len(q.bounds)
 		if idx > 0 {
 			idx--
 		}
@@ -243,86 +210,16 @@ func (q *Admission) quantile(r int64) float64 {
 	return float64(smaller) / float64(q.wfill)
 }
 
-// Dequeue implements Scheduler: strict priority across the queue bank.
-func (q *Admission) Dequeue() *pkt.Packet {
-	for i := range q.queues {
-		if q.queues[i].n == 0 {
-			continue
-		}
-		p := q.queues[i].pop()
-		q.qbytes[i] -= p.Size
-		q.bytes -= p.Size
-		q.stats.Dequeued++
-		if m := q.cfg.Metrics; m != nil { // guard: Len is O(queues)
-			m.onDequeue(p, q.Len(), q.bytes)
-		}
-		return p
-	}
-	return nil
-}
-
-// Reset implements Scheduler: queues are emptied, the rank window and the
-// dynamic bounds return to their cold state, and the counters zero — as if
-// freshly constructed, with rings and scratch buffers kept warm.
+// Reset implements Scheduler: the bank empties, and the rank window and the
+// dynamic bounds return to their cold state — as if freshly constructed,
+// with rings and scratch buffers kept warm.
 func (q *Admission) Reset() {
-	for i := range q.queues {
-		q.queues[i].reset()
-		q.qbytes[i] = 0
-		q.bounds[i] = 0
-	}
+	q.bank.Reset()
+	clear(q.bounds)
 	q.warm = false
-	q.bytes = 0
 	q.wpos = 0
 	q.wfill = 0
 	q.refresh = 0
-	q.stats = Stats{}
-}
-
-// sortInt64s sorts s ascending in place without allocating. An insertion
-// sort is used below 32 elements (windows are typically 64) and pdq via
-// sort.Slice is avoided entirely: its closure forces the slice header to
-// escape. sort.Sort on a named slice type would also allocate the
-// interface box once per call; the hand-rolled heapsort here stays on the
-// stack for any size.
-func sortInt64s(s []int64) {
-	if len(s) < 32 {
-		for i := 1; i < len(s); i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && s[j] > v {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return
-	}
-	// Heapsort: O(n log n), in place, allocation free.
-	n := len(s)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownInt64s(s, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		s[0], s[end] = s[end], s[0]
-		siftDownInt64s(s, 0, end)
-	}
-}
-
-func siftDownInt64s(s []int64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && s[child+1] > s[child] {
-			child++
-		}
-		if s[root] >= s[child] {
-			return
-		}
-		s[root], s[child] = s[child], s[root]
-		root = child
-	}
 }
 
 var _ Scheduler = (*Admission)(nil)

@@ -272,21 +272,3 @@ func TestAdmissionRegistry(t *testing.T) {
 		t.Fatal("admission:0 accepted")
 	}
 }
-
-// TestSortInt64s pins the allocation-free sorter used by the bound refresh
-// against the obvious oracle, across both the insertion and heapsort paths.
-func TestSortInt64s(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 2, 7, 31, 32, 33, 64, 257} {
-		s := make([]int64, n)
-		for i := range s {
-			s[i] = rng.Int63n(1000) - 500
-		}
-		sortInt64s(s)
-		for i := 1; i < len(s); i++ {
-			if s[i-1] > s[i] {
-				t.Fatalf("n=%d: not sorted at %d: %d > %d", n, i, s[i-1], s[i])
-			}
-		}
-	}
-}

@@ -1,34 +1,6 @@
 package sched
 
-import (
-	"qvisor/internal/pkt"
-)
-
-// AIFO approximates a PIFO with a single FIFO queue plus rank-aware
-// admission control (Yu et al., SIGCOMM 2021) — reference [41] of the
-// QVISOR paper. Instead of sorting, AIFO drops at enqueue time the packets
-// a PIFO would have dropped: it tracks a sliding window of recent ranks and
-// admits a packet only if its rank quantile is within the fraction of the
-// queue that is still free, inflated by a burstiness allowance.
-//
-// Admission rule (from the AIFO paper): admit p iff
-//
-//	quantile(p.Rank) <= (1/(1-k)) * (C - c) / C
-//
-// where C is the queue capacity, c the current occupancy, and k in [0,1)
-// the burstiness parameter.
-type AIFO struct {
-	cfg    Config
-	q      ring
-	bytes  int
-	window []int64 // circular buffer of recent ranks
-	wpos   int
-	wfill  int
-	k      float64
-	stats  Stats
-}
-
-// AIFOConfig parametrizes the admission control.
+// AIFOConfig parametrizes AIFO's admission control.
 type AIFOConfig struct {
 	Config
 	// WindowSize is the number of recent ranks used for quantile
@@ -40,114 +12,24 @@ type AIFOConfig struct {
 	Burst float64
 }
 
-// NewAIFO returns an AIFO queue. It panics on Burst outside [0,1).
-func NewAIFO(cfg AIFOConfig) *AIFO {
-	if cfg.WindowSize <= 0 {
-		cfg.WindowSize = 64
-	}
-	if cfg.Burst == 0 {
-		cfg.Burst = 0.1
-	}
-	if cfg.Burst < 0 || cfg.Burst >= 1 {
-		panic("sched: AIFO burst parameter must be in [0,1)")
-	}
-	return &AIFO{
-		cfg:    cfg.Config,
-		window: make([]int64, cfg.WindowSize),
-		k:      cfg.Burst,
-	}
-}
-
-// Name implements Scheduler.
-func (q *AIFO) Name() string { return "aifo" }
-
-// Len implements Scheduler.
-func (q *AIFO) Len() int { return q.q.n }
-
-// Bytes implements Scheduler.
-func (q *AIFO) Bytes() int { return q.bytes }
-
-// Stats returns a snapshot of the scheduler's counters.
-func (q *AIFO) Stats() Stats { return q.stats }
-
-// SetMetrics implements MetricsSetter.
-func (q *AIFO) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
-
-// Enqueue implements Scheduler with quantile-based admission. A refusal
-// for lack of buffer space reports CauseOverflow; a refusal decided by
-// the quantile rule — the packet would have fit, but its rank is too poor
-// for the remaining headroom — reports CauseAdmission.
-func (q *AIFO) Enqueue(p *pkt.Packet) bool {
-	cap := q.cfg.capacity()
-	admit := q.bytes+p.Size <= cap
-	cause := CauseOverflow
-	if admit && q.wfill == q.cap() {
-		// Window warm: apply the quantile admission rule.
-		quant := q.quantile(p.Rank)
-		headroom := float64(cap-q.bytes) / float64(cap)
-		if quant > headroom/(1-q.k) {
-			admit = false
-			cause = CauseAdmission
-		}
-	}
-	// The rank sample is recorded for every arrival, admitted or not, so
-	// the window reflects the offered load.
-	q.observe(p.Rank)
-	if !admit {
-		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
-		q.cfg.drop(p, cause)
-		return false
-	}
-	q.q.push(p)
-	q.bytes += p.Size
-	q.stats.Enqueued++
-	q.cfg.Metrics.onEnqueue(p, q.q.n, q.bytes)
-	return true
-}
-
-func (q *AIFO) cap() int { return len(q.window) }
-
-func (q *AIFO) observe(rank int64) {
-	q.window[q.wpos] = rank
-	q.wpos = (q.wpos + 1) % len(q.window)
-	if q.wfill < len(q.window) {
-		q.wfill++
-	}
-}
-
-// quantile returns the fraction of windowed ranks strictly smaller than r.
-func (q *AIFO) quantile(r int64) float64 {
-	if q.wfill == 0 {
-		return 0
-	}
-	smaller := 0
-	for i := 0; i < q.wfill; i++ {
-		if q.window[i] < r {
-			smaller++
-		}
-	}
-	return float64(smaller) / float64(q.wfill)
-}
-
-// Reset implements Scheduler: the queue, the rank window, and the counters
-// all return to their freshly-constructed state (window buffer kept warm).
-func (q *AIFO) Reset() {
-	q.q.reset()
-	q.bytes = 0
-	q.wpos = 0
-	q.wfill = 0
-	q.stats = Stats{}
-}
-
-// Dequeue implements Scheduler.
-func (q *AIFO) Dequeue() *pkt.Packet {
-	p := q.q.pop()
-	if p == nil {
-		return nil
-	}
-	q.bytes -= p.Size
-	q.stats.Dequeued++
-	q.cfg.Metrics.onDequeue(p, q.q.n, q.bytes)
-	return p
+// NewAIFO returns an AIFO queue (Yu et al., SIGCOMM 2021 — reference [41]
+// of the QVISOR paper), which approximates a PIFO with a single FIFO queue
+// plus rank-aware admission control. Instead of sorting, AIFO drops at
+// enqueue time the packets a PIFO would have dropped: it tracks a sliding
+// window of recent ranks and admits a packet only if its rank quantile is
+// within the fraction of the queue that is still free, inflated by a
+// burstiness allowance:
+//
+//	quantile(p.Rank) <= (1/(1-k)) * (C - c) / C
+//
+// where C is the queue capacity, c the current occupancy, and k in [0,1)
+// the burstiness parameter. That is Admission's gate in front of one queue,
+// so AIFO is built as exactly that — an Admission bank of one queue, named
+// "aifo". It panics on Burst outside [0,1).
+func NewAIFO(cfg AIFOConfig) *Admission {
+	q := NewAdmission(AdmissionConfig{
+		Config: cfg.Config, Queues: 1, WindowSize: cfg.WindowSize, Burst: cfg.Burst,
+	})
+	q.name = "aifo"
+	return q
 }

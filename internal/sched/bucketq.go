@@ -57,15 +57,11 @@ type bqNode struct {
 	next *bqNode
 }
 
-// maxBucketQBuckets bounds the ring so the two-level bitmap (64 words of
-// 64 bits) always covers it.
-const maxBucketQBuckets = 64 * 64
-
 // NewBucketQ returns a bucket queue with n buckets of the given rank
 // width. It panics if n < 1, n > 4096, or width < 1.
 func NewBucketQ(cfg Config, n int, width int64) *BucketQ {
-	if n < 1 || n > maxBucketQBuckets {
-		panic(fmt.Sprintf("sched: NewBucketQ with n=%d (want 1..%d)", n, maxBucketQBuckets))
+	if n < 1 || n > MaxQueues {
+		panic(fmt.Sprintf("sched: NewBucketQ with n=%d (want 1..%d)", n, MaxQueues))
 	}
 	if width < 1 {
 		panic(fmt.Sprintf("sched: NewBucketQ with width=%d", width))

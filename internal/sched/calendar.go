@@ -12,16 +12,17 @@ import (
 // scheduler drains the current bucket, then rotates to the next. Packets
 // whose rank falls before the current bucket join it (no past buckets);
 // ranks beyond the calendar horizon clamp to the last bucket.
+//
+// That clamp is what keeps Calendar a discipline of its own rather than a
+// BucketQ configuration: inside the horizon the two are event-for-event
+// identical, but host NIC ports enqueue raw tenant ranks far beyond it,
+// where the calendar clamps and the bucket queue parks packets in its
+// overflow FIFO (see DESIGN.md for the measurement).
 type Calendar struct {
-	cfg     Config
-	buckets []ring
-	bbytes  []int
-	width   int64 // rank units per bucket
-	n       int
-	cur     int   // index of the current bucket
-	base    int64 // smallest rank mapped to the current bucket
-	bytes   int
-	stats   Stats
+	bank
+	width int64 // rank units per bucket
+	cur   int   // index of the current bucket
+	base  int64 // smallest rank mapped to the current bucket
 }
 
 // NewCalendar returns a calendar queue with n buckets of the given rank
@@ -33,95 +34,37 @@ func NewCalendar(cfg Config, n int, width int64) *Calendar {
 	if width < 1 {
 		panic(fmt.Sprintf("sched: NewCalendar with width=%d", width))
 	}
-	return &Calendar{
-		cfg:     cfg,
-		buckets: make([]ring, n),
-		bbytes:  make([]int, n),
-		width:   width,
-		n:       n,
-	}
+	return &Calendar{bank: newBank(cfg, n), width: width}
 }
 
 // Name implements Scheduler.
-func (q *Calendar) Name() string { return fmt.Sprintf("calendar%d", q.n) }
-
-// Len implements Scheduler.
-func (q *Calendar) Len() int {
-	total := 0
-	for i := range q.buckets {
-		total += q.buckets[i].n
-	}
-	return total
-}
-
-// Bytes implements Scheduler.
-func (q *Calendar) Bytes() int { return q.bytes }
-
-// Stats returns a snapshot of the scheduler's counters.
-func (q *Calendar) Stats() Stats { return q.stats }
-
-// SetMetrics implements MetricsSetter.
-func (q *Calendar) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
+func (q *Calendar) Name() string { return fmt.Sprintf("calendar%d", len(q.queues)) }
 
 // Enqueue implements Scheduler.
 func (q *Calendar) Enqueue(p *pkt.Packet) bool {
-	if q.bytes+p.Size > q.cfg.capacity() {
-		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
-		q.cfg.drop(p, CauseOverflow)
-		return false
+	if !q.fits(p) {
+		return q.refuse(p, CauseOverflow)
 	}
+	n := len(q.queues)
 	off := 0
 	if p.Rank > q.base {
-		off = int((p.Rank - q.base) / q.width)
-		if off >= q.n {
-			off = q.n - 1 // beyond horizon: last bucket
-		}
+		off = int(min((p.Rank-q.base)/q.width, int64(n-1))) // beyond horizon: last bucket
 	}
-	i := (q.cur + off) % q.n
-	q.buckets[i].push(p)
-	q.bbytes[i] += p.Size
-	q.bytes += p.Size
-	q.stats.Enqueued++
-	if m := q.cfg.Metrics; m != nil { // guard: Len is O(buckets)
-		m.onEnqueue(p, q.Len(), q.bytes)
-	}
-	return true
+	return q.put((q.cur+off)%n, p)
 }
 
 // Dequeue implements Scheduler: drain the current bucket, rotating forward
 // past empty buckets.
 func (q *Calendar) Dequeue() *pkt.Packet {
-	if q.bytes == 0 {
-		return nil
-	}
-	for q.buckets[q.cur].n == 0 {
-		q.rotate()
-	}
-	p := q.buckets[q.cur].pop()
-	q.bbytes[q.cur] -= p.Size
-	q.bytes -= p.Size
-	q.stats.Dequeued++
-	if m := q.cfg.Metrics; m != nil { // guard: Len is O(buckets)
-		m.onDequeue(p, q.Len(), q.bytes)
-	}
+	p, i := q.popFrom(q.cur)
+	q.base += int64((i-q.cur+len(q.queues))%len(q.queues)) * q.width
+	q.cur = i
 	return p
 }
 
-func (q *Calendar) rotate() {
-	q.cur = (q.cur + 1) % q.n
-	q.base += q.width
-}
-
-// Reset implements Scheduler: buckets are emptied and the rotation rewinds
-// to bucket 0 / base rank 0, with the ring buffers kept warm.
+// Reset implements Scheduler: the bank empties and the rotation rewinds to
+// bucket 0 / base rank 0.
 func (q *Calendar) Reset() {
-	for i := range q.buckets {
-		q.buckets[i].reset()
-		q.bbytes[i] = 0
-	}
-	q.cur = 0
-	q.base = 0
-	q.bytes = 0
-	q.stats = Stats{}
+	q.bank.Reset()
+	q.cur, q.base = 0, 0
 }

@@ -33,7 +33,7 @@ type DRR struct {
 
 type drrQueue struct {
 	key     uint64
-	q       ring
+	q       pkt.Ring
 	bytes   int
 	deficit int
 	queued  bool // present in the active ring
@@ -104,7 +104,7 @@ func (d *DRR) Enqueue(p *pkt.Packet) bool {
 		}
 		d.queues[key] = q
 	}
-	q.q.push(p)
+	q.q.Push(p)
 	q.bytes += p.Size
 	d.bytes += p.Size
 	d.count++
@@ -129,7 +129,7 @@ func (d *DRR) Dequeue() *pkt.Packet {
 			d.cur = 0
 		}
 		q := d.active[d.cur]
-		if q.q.n == 0 {
+		if q.q.Len() == 0 {
 			// Queue drained since its last visit: drop from the ring.
 			d.unlink(q)
 			continue
@@ -140,20 +140,20 @@ func (d *DRR) Dequeue() *pkt.Packet {
 			q.deficit += d.quantum
 			q.visited = true
 		}
-		head := q.q.peek()
+		head := q.q.Peek()
 		if q.deficit < head.Size {
 			q.visited = false // visit over; next arrival grants anew
 			d.cur++
 			continue
 		}
-		p := q.q.pop()
+		p := q.q.Pop()
 		q.deficit -= p.Size
 		q.bytes -= p.Size
 		d.bytes -= p.Size
 		d.count--
 		d.stats.Dequeued++
 		d.cfg.Metrics.onDequeue(p, d.count, d.bytes)
-		if q.q.n == 0 {
+		if q.q.Len() == 0 {
 			// Empty queues forfeit their deficit (standard DRR).
 			d.unlink(q)
 			if len(d.queues) > 1024 {
@@ -180,7 +180,7 @@ func (d *DRR) unlink(q *drrQueue) {
 // touching the allocator.
 func (d *DRR) Reset() {
 	for key, q := range d.queues {
-		q.q.reset()
+		q.q.Reset()
 		q.bytes = 0
 		q.deficit = 0
 		q.queued = false

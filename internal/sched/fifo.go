@@ -6,116 +6,24 @@ import "qvisor/internal/pkt"
 // least capable "existing scheduler" of §3.4 and the worst-case baseline in
 // the paper's Figure 4 ("the FIFO scheduler can not prioritize traffic, and
 // thus the pFabric policy becomes useless").
-type FIFO struct {
-	cfg   Config
-	q     ring
-	bytes int
-	stats Stats
-}
+type FIFO struct{ bank }
 
 // NewFIFO returns an empty FIFO with the given configuration.
 func NewFIFO(cfg Config) *FIFO {
-	return &FIFO{cfg: cfg}
-}
-
-// ring is a growable circular buffer of packets.
-type ring struct {
-	buf  []*pkt.Packet
-	head int
-	n    int
-}
-
-func (r *ring) push(p *pkt.Packet) {
-	if r.n == len(r.buf) {
-		next := make([]*pkt.Packet, max(8, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			next[i] = r.buf[(r.head+i)%len(r.buf)]
-		}
-		r.buf = next
-		r.head = 0
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
-	r.n++
-}
-
-func (r *ring) pop() *pkt.Packet {
-	if r.n == 0 {
-		return nil
-	}
-	p := r.buf[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return p
-}
-
-func (r *ring) peek() *pkt.Packet {
-	if r.n == 0 {
-		return nil
-	}
-	return r.buf[r.head]
-}
-
-// reset empties the ring, dropping packet references but keeping the
-// backing buffer so a reused scheduler starts with a warm ring.
-func (r *ring) reset() {
-	for r.n > 0 {
-		r.buf[r.head] = nil
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-	}
-	r.head = 0
+	return &FIFO{newBank(cfg, 1)}
 }
 
 // Name implements Scheduler.
 func (q *FIFO) Name() string { return "fifo" }
 
-// Len implements Scheduler.
-func (q *FIFO) Len() int { return q.q.n }
-
-// Bytes implements Scheduler.
-func (q *FIFO) Bytes() int { return q.bytes }
-
-// Stats returns a snapshot of the scheduler's counters.
-func (q *FIFO) Stats() Stats { return q.stats }
-
-// SetMetrics implements MetricsSetter.
-func (q *FIFO) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
-
 // Enqueue implements Scheduler. Arrivals that would overflow the buffer are
 // tail-dropped.
 func (q *FIFO) Enqueue(p *pkt.Packet) bool {
-	if q.bytes+p.Size > q.cfg.capacity() {
-		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
-		q.cfg.drop(p, CauseOverflow)
-		return false
+	if !q.fits(p) {
+		return q.refuse(p, CauseOverflow)
 	}
-	q.q.push(p)
-	q.bytes += p.Size
-	q.stats.Enqueued++
-	q.cfg.Metrics.onEnqueue(p, q.q.n, q.bytes)
-	return true
-}
-
-// Dequeue implements Scheduler.
-func (q *FIFO) Dequeue() *pkt.Packet {
-	p := q.q.pop()
-	if p == nil {
-		return nil
-	}
-	q.bytes -= p.Size
-	q.stats.Dequeued++
-	q.cfg.Metrics.onDequeue(p, q.q.n, q.bytes)
-	return p
+	return q.put(0, p)
 }
 
 // Peek returns the head packet without removing it, or nil when empty.
-func (q *FIFO) Peek() *pkt.Packet { return q.q.peek() }
-
-// Reset implements Scheduler.
-func (q *FIFO) Reset() {
-	q.q.reset()
-	q.bytes = 0
-	q.stats = Stats{}
-}
+func (q *FIFO) Peek() *pkt.Packet { return q.queues[0].Peek() }

@@ -16,17 +16,8 @@ type QueueMapper func(p *pkt.Packet) int
 // by commodity switch ASICs. Dequeue always serves the lowest-index
 // non-empty queue. Each queue gets an equal share of the configured buffer.
 type MQ struct {
-	cfg    Config
-	mapper QueueMapper
-	queues []ring
-	qbytes []int
-	bytes  int
-	n      int
-	stats  Stats
-	// lastRank tracks the rank of the most recent dequeue for inversion
-	// accounting.
-	lastRank    int64
-	hasLast     bool
+	bank
+	mapper      QueueMapper
 	perQueueCap int
 }
 
@@ -39,123 +30,39 @@ func NewMQ(cfg Config, n int, mapper QueueMapper) *MQ {
 	if mapper == nil {
 		panic("sched: NewMQ with nil mapper")
 	}
-	return &MQ{
-		cfg:         cfg,
-		mapper:      mapper,
-		queues:      make([]ring, n),
-		qbytes:      make([]int, n),
-		n:           n,
-		perQueueCap: cfg.capacity() / n,
-	}
+	return &MQ{bank: newBank(cfg, n), mapper: mapper, perQueueCap: cfg.capacity() / n}
 }
 
 // Name implements Scheduler.
-func (q *MQ) Name() string { return fmt.Sprintf("mq%d", q.n) }
-
-// NumQueues returns the number of priority queues.
-func (q *MQ) NumQueues() int { return q.n }
-
-// Len implements Scheduler.
-func (q *MQ) Len() int {
-	total := 0
-	for i := range q.queues {
-		total += q.queues[i].n
-	}
-	return total
-}
-
-// Bytes implements Scheduler.
-func (q *MQ) Bytes() int { return q.bytes }
-
-// QueueLen returns the packet count of queue i.
-func (q *MQ) QueueLen(i int) int { return q.queues[i].n }
-
-// Stats returns a snapshot of the scheduler's counters.
-func (q *MQ) Stats() Stats { return q.stats }
-
-// SetMetrics implements MetricsSetter.
-func (q *MQ) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
+func (q *MQ) Name() string { return fmt.Sprintf("mq%d", len(q.queues)) }
 
 // Enqueue implements Scheduler. The mapper chooses the queue; out-of-range
 // indices clamp to the extremes. A full queue tail-drops.
 func (q *MQ) Enqueue(p *pkt.Packet) bool {
-	i := q.mapper(p)
-	if i < 0 {
-		i = 0
-	}
-	if i >= q.n {
-		i = q.n - 1
-	}
+	i := min(max(q.mapper(p), 0), len(q.queues)-1)
 	if q.qbytes[i]+p.Size > q.perQueueCap {
-		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
-		q.cfg.drop(p, CauseOverflow)
-		return false
+		return q.refuse(p, CauseOverflow)
 	}
-	q.queues[i].push(p)
-	q.qbytes[i] += p.Size
-	q.bytes += p.Size
-	q.stats.Enqueued++
-	if m := q.cfg.Metrics; m != nil { // guard: Len is O(queues)
-		m.onEnqueue(p, q.Len(), q.bytes)
-	}
-	return true
+	return q.put(i, p)
 }
 
-// Dequeue implements Scheduler: strict priority across queues.
+// Dequeue implements Scheduler: the bank's strict-priority pop, plus rank
+// inversion accounting — a dequeue whose rank exceeds a rank still queued
+// anywhere in the bank.
 func (q *MQ) Dequeue() *pkt.Packet {
-	for i := range q.queues {
-		if q.queues[i].n == 0 {
-			continue
-		}
-		p := q.queues[i].pop()
-		q.qbytes[i] -= p.Size
-		q.bytes -= p.Size
-		q.stats.Dequeued++
-		if m := q.cfg.Metrics; m != nil { // guard: Len is O(queues)
-			m.onDequeue(p, q.Len(), q.bytes)
-		}
-		q.noteDequeue(p.Rank)
-		return p
+	p := q.bank.Dequeue()
+	if p == nil {
+		return nil
 	}
-	return nil
-}
-
-// Reset implements Scheduler.
-func (q *MQ) Reset() {
-	for i := range q.queues {
-		q.queues[i].reset()
-		q.qbytes[i] = 0
-	}
-	q.bytes = 0
-	q.lastRank = 0
-	q.hasLast = false
-	q.stats = Stats{}
-}
-
-// noteDequeue counts rank inversions: a dequeue whose rank exceeds a rank
-// still queued anywhere. For efficiency we approximate with the classic
-// "scheduled after a better packet arrived earlier" check against the
-// minimum queued rank.
-func (q *MQ) noteDequeue(rank int64) {
-	if min, ok := q.minQueuedRank(); ok && rank > min {
-		q.stats.Inversion++
-		q.cfg.Metrics.onInversion()
-	}
-}
-
-func (q *MQ) minQueuedRank() (int64, bool) {
-	found := false
-	var min int64
 	for i := range q.queues {
 		r := &q.queues[i]
-		for j := 0; j < r.n; j++ {
-			p := r.buf[(r.head+j)%len(r.buf)]
-			if !found || p.Rank < min {
-				min = p.Rank
-				found = true
+		for j := 0; j < r.Len(); j++ {
+			if r.At(j).Rank < p.Rank {
+				q.stats.Inversion++
+				q.cfg.Metrics.onInversion()
+				return p
 			}
 		}
 	}
-	return min, found
+	return p
 }

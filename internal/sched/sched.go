@@ -7,6 +7,20 @@
 // All schedulers share the Scheduler interface: Enqueue offers a packet
 // (which may be dropped), Dequeue returns the next packet to transmit.
 // Lower rank means higher priority throughout.
+//
+// The FIFO family is one structure and six placement rules. The unexported
+// bank (bank.go) is n pkt.Ring queues with byte and packet accounting,
+// counters, the metrics mirror, and a pop of the first backlogged queue at
+// or after an index; FIFO, MQ, SP-PIFO, Admission and Calendar embed it and
+// keep only what their rule owns — a mapper, adaptive bounds, a rank window,
+// a rotation cursor — and AIFO is Admission over a bank of one queue. PIFO
+// (a heap), BucketQ (bitmap-indexed chains with an overflow FIFO) and DRR
+// (per-key rings with deficits) are different structures and stay apart.
+// Calendar is deliberately not a BucketQ configuration: the two agree event
+// for event inside the rank horizon, but beyond it the calendar clamps to
+// its last bucket while the bucket queue parks and re-files packets, and
+// host NIC ports do enqueue raw tenant ranks out there (DESIGN.md has the
+// measurement).
 package sched
 
 import (

@@ -18,13 +18,8 @@ import (
 // bound exceeds the rank (an inversion), the packet joins that queue and
 // every bound is decreased by the magnitude of the inversion (push-down).
 type SPPIFO struct {
-	cfg    Config
-	queues []ring
-	qbytes []int
+	bank
 	bounds []int64
-	bytes  int
-	n      int
-	stats  Stats
 }
 
 // NewSPPIFO returns an SP-PIFO with n strict-priority queues. It panics if
@@ -33,57 +28,26 @@ func NewSPPIFO(cfg Config, n int) *SPPIFO {
 	if n < 1 {
 		panic(fmt.Sprintf("sched: NewSPPIFO with n=%d", n))
 	}
-	return &SPPIFO{
-		cfg:    cfg,
-		queues: make([]ring, n),
-		qbytes: make([]int, n),
-		bounds: make([]int64, n),
-		n:      n,
-	}
+	return &SPPIFO{bank: newBank(cfg, n), bounds: make([]int64, n)}
 }
 
 // Name implements Scheduler.
-func (q *SPPIFO) Name() string { return fmt.Sprintf("sppifo%d", q.n) }
-
-// NumQueues returns the number of priority queues.
-func (q *SPPIFO) NumQueues() int { return q.n }
-
-// Len implements Scheduler.
-func (q *SPPIFO) Len() int {
-	total := 0
-	for i := range q.queues {
-		total += q.queues[i].n
-	}
-	return total
-}
-
-// Bytes implements Scheduler.
-func (q *SPPIFO) Bytes() int { return q.bytes }
-
-// Stats returns a snapshot of the scheduler's counters.
-func (q *SPPIFO) Stats() Stats { return q.stats }
-
-// SetMetrics implements MetricsSetter.
-func (q *SPPIFO) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
+func (q *SPPIFO) Name() string { return fmt.Sprintf("sppifo%d", len(q.queues)) }
 
 // Bound returns queue i's current rank bound (for tests and inspection).
 func (q *SPPIFO) Bound(i int) int64 { return q.bounds[i] }
 
 // Enqueue implements Scheduler using the SP-PIFO mapping algorithm.
 func (q *SPPIFO) Enqueue(p *pkt.Packet) bool {
-	if q.bytes+p.Size > q.cfg.capacity() {
-		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
-		q.cfg.drop(p, CauseOverflow)
-		return false
+	if !q.fits(p) {
+		return q.refuse(p, CauseOverflow)
 	}
 	// Scan from the lowest-priority queue (highest index) towards the
 	// highest-priority queue (index 0).
-	for i := q.n - 1; i >= 0; i-- {
+	for i := len(q.bounds) - 1; i >= 0; i-- {
 		if q.bounds[i] <= p.Rank {
 			q.bounds[i] = p.Rank
-			q.put(i, p)
-			return true
+			return q.put(i, p)
 		}
 	}
 	// Inversion: even queue 0's bound exceeds the rank. Enqueue at the
@@ -94,46 +58,12 @@ func (q *SPPIFO) Enqueue(p *pkt.Packet) bool {
 	for i := range q.bounds {
 		q.bounds[i] -= cost
 	}
-	q.put(0, p)
-	return true
+	return q.put(0, p)
 }
 
-func (q *SPPIFO) put(i int, p *pkt.Packet) {
-	q.queues[i].push(p)
-	q.qbytes[i] += p.Size
-	q.bytes += p.Size
-	q.stats.Enqueued++
-	if m := q.cfg.Metrics; m != nil { // guard: Len is O(queues)
-		m.onEnqueue(p, q.Len(), q.bytes)
-	}
-}
-
-// Reset implements Scheduler: queues are emptied and all bounds return to
-// zero, as if freshly constructed, with the ring buffers kept warm.
+// Reset implements Scheduler: the bank empties and all bounds return to
+// zero, as if freshly constructed.
 func (q *SPPIFO) Reset() {
-	for i := range q.queues {
-		q.queues[i].reset()
-		q.qbytes[i] = 0
-		q.bounds[i] = 0
-	}
-	q.bytes = 0
-	q.stats = Stats{}
-}
-
-// Dequeue implements Scheduler: strict priority across the queue bank.
-func (q *SPPIFO) Dequeue() *pkt.Packet {
-	for i := range q.queues {
-		if q.queues[i].n == 0 {
-			continue
-		}
-		p := q.queues[i].pop()
-		q.qbytes[i] -= p.Size
-		q.bytes -= p.Size
-		q.stats.Dequeued++
-		if m := q.cfg.Metrics; m != nil { // guard: Len is O(queues)
-			m.onDequeue(p, q.Len(), q.bytes)
-		}
-		return p
-	}
-	return nil
+	q.bank.Reset()
+	clear(q.bounds)
 }

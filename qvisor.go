@@ -234,8 +234,10 @@ func PlanFabric(jp *JointPolicy, devices []Device) (*FabricPlan, error) {
 	return orchestrator.Plan(jp, devices)
 }
 
-// NewScheduler constructs a scheduler by name: pifo, fifo, aifo, sppifo:N,
-// calendar:N:W, or bucketq:B[,H].
+// NewScheduler constructs a scheduler from a spec string such as "pifo",
+// "sppifo:8" or "calendar:32:100". The accepted forms live in one table in
+// internal/sched (see sched.New); the error for an unknown name lists them
+// all, and queue or bucket counts above 4096 are rejected.
 func NewScheduler(name string, cfg SchedConfig) (Scheduler, error) {
 	return sched.New(name, cfg)
 }
