@@ -10,16 +10,13 @@
 //	qvisorctl [-server URL] tenant <name> [algorithm|lo-hi] [levels=<n>]
 //	qvisorctl [-server URL] batch [spec=<spec>] <join:name:id:alg|lo-hi> <leave:name> <update:name:id:alg|lo-hi> ...
 //	qvisorctl [-server URL] epochs
-//	qvisorctl [-server URL] join  <name> <id> <algorithm|lo-hi> <spec>
-//	qvisorctl [-server URL] leave <name> <spec>
 //	qvisorctl [-server URL] monitor <name>
 //
-// join and leave are deprecated in favor of batch, which applies any
-// number of membership changes as one transaction compiling into a
-// single policy epoch. patch edits the spec in place (ops: add, remove,
-// set_weight, demote — a bare integer after the tenant is a weight, so
-// set_weight:web:3 works). tenant with extra arguments performs a
-// conditional update against the registration's content ETag.
+// batch applies any number of membership changes as one transaction
+// compiling into a single policy epoch. patch edits the spec in place
+// (ops: add, remove, set_weight, demote — a bare integer after the tenant
+// is a weight, so set_weight:web:3 works). tenant with extra arguments
+// performs a conditional update against the registration's content ETag.
 //
 //	qvisorctl [-server URL] check
 //	qvisorctl [-server URL] compile <queues> [sorted|rewrite|admission ...]
@@ -113,34 +110,6 @@ func run(args []string) error {
 			}
 			fmt.Printf("%-12s id=%-4d %s%s\n", t.Name, t.ID, alg, flags)
 		}
-		return nil
-	case "join":
-		if len(rest) < 5 {
-			return fmt.Errorf("usage: join <name> <id> <algorithm|lo-hi> <spec>")
-		}
-		id, err := strconv.ParseUint(rest[2], 10, 16)
-		if err != nil {
-			return fmt.Errorf("bad id %q", rest[2])
-		}
-		ti := api.TenantInfo{Name: rest[1], ID: pkt.TenantID(id)}
-		if lo, hi, ok := parseBounds(rest[3]); ok {
-			ti.Bounds = &api.BoundsInfo{Lo: lo, Hi: hi}
-		} else {
-			ti.Algorithm = rest[3]
-		}
-		if err := c.Join(ctx, ti, strings.Join(rest[4:], " ")); err != nil {
-			return err
-		}
-		fmt.Printf("joined %s\n", rest[1])
-		return nil
-	case "leave":
-		if len(rest) < 3 {
-			return fmt.Errorf("usage: leave <name> <spec>")
-		}
-		if err := c.Leave(ctx, rest[1], strings.Join(rest[2:], " ")); err != nil {
-			return err
-		}
-		fmt.Printf("left %s\n", rest[1])
 		return nil
 	case "tenant":
 		if len(rest) < 2 {

@@ -40,25 +40,27 @@ func TestRunRequiresSubcommand(t *testing.T) {
 	}
 	// Argument validation happens before any network I/O.
 	for _, args := range [][]string{
-		{"join", "a"},                     // too few args
-		{"join", "a", "x", "edf", "spec"}, // bad id
-		{"leave"},                         // too few args
-		{"monitor"},                       // too few args
-		{"compile"},                       // too few args
-		{"compile", "x"},                  // bad queue count
-		{"compile", "4", "bogus"},         // unknown capability
-		{"fabric"},                        // too few args
-		{"fabric", "noequals"},            // bad device
-		{"fabric", "a=junk"},              // bad target
-		{"fabric", "a=queues:x"},          // bad queue count
-		{"fabric", "a=queues:4:bogus"},    // unknown option
-		{"trace", "junk"},                 // filter missing '='
-		{"trace", "tenant=x"},             // bad tenant
-		{"trace", "limit=-1"},             // bad limit
-		{"trace", "bogus=1"},              // unknown filter key
-		{"slo", "bogus"},                  // unknown slo arg
-		{"slo", "interval=x"},             // bad interval
-		{"slo", "interval=-1s"},           // non-positive interval
+		{"batch", "join:a"},                    // too few parts
+		{"batch", "spec=spec", "join:a:x:edf"}, // bad id
+		{"batch", "leave"},                     // too few parts
+		{"join", "a", "1", "edf", "a"},         // removed subcommand
+		{"leave", "a", "b"},                    // removed subcommand
+		{"monitor"},                            // too few args
+		{"compile"},                            // too few args
+		{"compile", "x"},                       // bad queue count
+		{"compile", "4", "bogus"},              // unknown capability
+		{"fabric"},                             // too few args
+		{"fabric", "noequals"},                 // bad device
+		{"fabric", "a=junk"},                   // bad target
+		{"fabric", "a=queues:x"},               // bad queue count
+		{"fabric", "a=queues:4:bogus"},         // unknown option
+		{"trace", "junk"},                      // filter missing '='
+		{"trace", "tenant=x"},                  // bad tenant
+		{"trace", "limit=-1"},                  // bad limit
+		{"trace", "bogus=1"},                   // unknown filter key
+		{"slo", "bogus"},                       // unknown slo arg
+		{"slo", "interval=x"},                  // bad interval
+		{"slo", "interval=-1s"},                // non-positive interval
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted", args)

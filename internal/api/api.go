@@ -12,15 +12,11 @@
 //	                                set_weight/demote) without resending the
 //	                                whole document
 //	GET    /v1/tenants              registered tenants
-//	POST   /v1/tenants              DEPRECATED: register one tenant; use
-//	                                POST /v1/tenants:batch
 //	POST   /v1/tenants:batch        bulk join/leave/update as one transaction
 //	                                (one new policy epoch, per-item errors)
 //	GET    /v1/tenants/{name}       one tenant registration + content ETag
 //	PUT    /v1/tenants/{name}       replace a tenant's definition (conditional
 //	                                on its content ETag via If-Match)
-//	DELETE /v1/tenants/{name}       DEPRECATED: deregister one tenant; use
-//	                                POST /v1/tenants:batch
 //	GET    /v1/tenants/{name}/monitor   observed rank distribution
 //	GET    /v1/epochs               policy generations: current + draining
 //	POST   /v1/check                run one control-loop iteration
@@ -33,10 +29,6 @@
 //	GET    /v1/healthz              liveness; burn-rate health when a watchdog
 //	                                is attached (503 on "page")
 //
-// Deprecated routes keep working as thin shims over the same controller
-// operations; they answer with "Deprecation: true" and a Link header
-// naming the successor so clients can migrate mechanically.
-//
 // Every non-2xx response carries the JSON error envelope
 //
 //	{"error": {"code": "unknown_tenant", "message": "..."}}
@@ -47,10 +39,10 @@
 // response an ETag) so a stale writer can retry without a second GET;
 // batch_failed envelopes carry per-item error envelopes under items.
 //
-// Spec-versioned mutations (PUT/PATCH /v1/spec, POST /v1/tenants,
-// POST /v1/tenants:batch, DELETE /v1/tenants/{name}) accept an optional
-// If-Match header naming the spec version from GET /v1/spec (bare or
-// ETag-quoted); a stale version yields 409 with code version_conflict.
+// Spec-versioned mutations (PUT/PATCH /v1/spec, POST /v1/tenants:batch)
+// accept an optional If-Match header naming the spec version from GET
+// /v1/spec (bare or ETag-quoted); a stale version yields 409 with code
+// version_conflict.
 // GET/PUT /v1/tenants/{name} instead use a per-tenant content ETag
 // ("t-<hash>", covering name/id/algorithm/bounds/levels): GET returns
 // it, PUT's If-Match requires it, so concurrent edits of one tenant are
@@ -101,13 +93,6 @@ type TenantInfo struct {
 type BoundsInfo struct {
 	Lo int64 `json:"lo"`
 	Hi int64 `json:"hi"`
-}
-
-// JoinRequest registers a tenant. Spec is the full operator specification
-// that includes the new tenant.
-type JoinRequest struct {
-	Tenant TenantInfo `json:"tenant"`
-	Spec   string     `json:"spec"`
 }
 
 // SpecRequest replaces the operator specification.
@@ -177,9 +162,6 @@ type BatchResponse struct {
 	Version uint64            `json:"version"`
 	Epoch   uint64            `json:"epoch"`
 }
-
-// LeaveRequest carries the post-departure specification as a query
-// parameter (`spec`); no body.
 
 // TransformInfo is the wire form of one rank transformation.
 type TransformInfo struct {

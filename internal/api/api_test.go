@@ -94,14 +94,24 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// joinOne and leaveOne are the single-membership-change batches the
+// lifecycle tests speak in.
+func joinOne(ti TenantInfo, spec string) BatchRequest {
+	return BatchRequest{Ops: []BatchOpInfo{{Op: "join", Tenant: &ti}}, Spec: spec}
+}
+
+func leaveOne(name, spec string) BatchRequest {
+	return BatchRequest{Ops: []BatchOpInfo{{Op: "leave", Name: name}}, Spec: spec}
+}
+
 func TestTenantLifecycle(t *testing.T) {
 	c, ctl, _ := newTestServer(t, core.ControllerOptions{})
 	ctx := context.Background()
 
 	// Join a third tenant.
-	err := c.Join(ctx, TenantInfo{
+	_, err := c.Batch(ctx, joinOne(TenantInfo{
 		Name: "batch", ID: 3, Algorithm: "fq",
-	}, "web >> deadline + batch")
+	}, "web >> deadline + batch"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,32 +131,39 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 
 	// Duplicate join: conflict.
-	err = c.Join(ctx, TenantInfo{Name: "batch", ID: 9, Algorithm: "fq"}, "web >> deadline + batch")
+	_, err = c.Batch(ctx, joinOne(TenantInfo{Name: "batch", ID: 9, Algorithm: "fq"}, "web >> deadline + batch"))
 	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusConflict {
-		t.Fatalf("duplicate join err = %v, want 409", err)
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict ||
+		len(ae.Items) != 1 || ae.Items[0].Error == nil || ae.Items[0].Error.Code != CodeTenantExists {
+		t.Fatalf("duplicate join err = %v, want 409 with a %s item", err, CodeTenantExists)
 	}
 
 	// Leave.
-	if err := c.Leave(ctx, "batch", "web >> deadline"); err != nil {
+	if _, err := c.Batch(ctx, leaveOne("batch", "web >> deadline")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ctl.Policy().TransformOf("batch"); ok {
 		t.Fatal("batch still deployed after leave")
 	}
-	// Leaving again: 404.
-	err = c.Leave(ctx, "batch", "web >> deadline")
-	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
-		t.Fatalf("double leave err = %v, want 404", err)
+	// Leaving again: the item is an unknown tenant.
+	_, err = c.Batch(ctx, leaveOne("batch", "web >> deadline"))
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict ||
+		len(ae.Items) != 1 || ae.Items[0].Error == nil || ae.Items[0].Error.Code != CodeUnknownTenant {
+		t.Fatalf("double leave err = %v, want 409 with an %s item", err, CodeUnknownTenant)
 	}
-	// Leave without spec: 400.
+	// Leave without a spec: the spec in force still names the tenant.
+	_, err = c.Batch(ctx, leaveOne("web", ""))
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict || ae.Code != CodeSynthFailed {
+		t.Fatalf("missing spec: err = %v, want 409 %s", err, CodeSynthFailed)
+	}
+	// The one-tenant route that used to do this is gone.
 	resp, err := http.DefaultClient.Do(mustReq(t, http.MethodDelete, srvURL(t, c)+"/v1/tenants/web"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing spec: status %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("DELETE /v1/tenants/web: status %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -154,17 +171,17 @@ func TestJoinValidation(t *testing.T) {
 	c, _, _ := newTestServer(t, core.ControllerOptions{})
 	ctx := context.Background()
 	// Unknown algorithm.
-	if err := c.Join(ctx, TenantInfo{Name: "x", ID: 9, Algorithm: "nope"}, "web >> deadline >> x"); err == nil {
+	if _, err := c.Batch(ctx, joinOne(TenantInfo{Name: "x", ID: 9, Algorithm: "nope"}, "web >> deadline >> x")); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 	// Bad spec.
-	if err := c.Join(ctx, TenantInfo{Name: "x", ID: 9, Algorithm: "fq"}, "+++"); err == nil {
+	if _, err := c.Batch(ctx, joinOne(TenantInfo{Name: "x", ID: 9, Algorithm: "fq"}, "+++")); err == nil {
 		t.Fatal("bad spec accepted")
 	}
 	// Bounds-only tenant is fine.
-	if err := c.Join(ctx, TenantInfo{
+	if _, err := c.Batch(ctx, joinOne(TenantInfo{
 		Name: "y", ID: 10, Bounds: &BoundsInfo{Lo: 0, Hi: 99},
-	}, "web >> deadline >> y"); err != nil {
+	}, "web >> deadline >> y")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -250,7 +267,7 @@ func TestCompileEndpoint(t *testing.T) {
 func TestBadJSONRejected(t *testing.T) {
 	_, ctl, ts := newTestServerRaw(t)
 	_ = ctl
-	resp, err := http.Post(ts.URL+"/v1/tenants", "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(ts.URL+"/v1/tenants:batch", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

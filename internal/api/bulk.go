@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"strconv"
 
 	"qvisor/internal/core"
 	"qvisor/internal/policy"
+	"qvisor/internal/sim"
 )
 
 // Handlers for the bulk-capable /v1 surface: tenants:batch, PATCH
@@ -26,18 +26,6 @@ func tenantETag(t *core.Tenant) string {
 	}
 	fmt.Fprintf(h, "\x00%d\x00%d\x00%d", t.Bounds.Lo, t.Bounds.Hi, t.Levels)
 	return fmt.Sprintf("t-%016x", h.Sum64())
-}
-
-// errorBodyFor classifies a controller error into an envelope body.
-func errorBodyFor(err error) *ErrorBody {
-	code := CodeBadRequest
-	switch {
-	case errors.Is(err, core.ErrTenantExists):
-		code = CodeTenantExists
-	case errors.Is(err, core.ErrTenantNotFound):
-		code = CodeUnknownTenant
-	}
-	return &ErrorBody{Code: code, Message: err.Error()}
 }
 
 // handleBatch applies a bulk tenant mutation as one transaction: every
@@ -67,21 +55,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ops := make([]core.TenantOp, len(req.Ops))
 	results := make([]BatchItemResult, len(req.Ops))
 	failed := false
+	malformed := func(i int, msg string) {
+		results[i].Error = &ErrorBody{Code: CodeBadRequest, Message: msg}
+		failed = true
+	}
 	for i, op := range req.Ops {
 		results[i] = BatchItemResult{Op: op.Op, Name: op.Name}
 		switch op.Op {
 		case "join", "update":
 			if op.Tenant == nil {
-				results[i].Error = &ErrorBody{Code: CodeBadRequest,
-					Message: fmt.Sprintf("api: %s op without tenant", op.Op)}
-				failed = true
+				malformed(i, fmt.Sprintf("api: %s op without tenant", op.Op))
 				continue
 			}
 			results[i].Name = op.Tenant.Name
 			t, err := op.Tenant.toTenant()
 			if err != nil {
-				results[i].Error = &ErrorBody{Code: CodeBadRequest, Message: err.Error()}
-				failed = true
+				malformed(i, err.Error())
 				continue
 			}
 			kind := core.OpJoin
@@ -91,61 +80,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ops[i] = core.TenantOp{Kind: kind, Tenant: t}
 		case "leave":
 			if op.Name == "" {
-				results[i].Error = &ErrorBody{Code: CodeBadRequest,
-					Message: "api: leave op without name"}
-				failed = true
+				malformed(i, "api: leave op without name")
 				continue
 			}
 			ops[i] = core.TenantOp{Kind: core.OpLeave, Name: op.Name}
 		default:
-			results[i].Error = &ErrorBody{Code: CodeBadRequest,
-				Message: fmt.Sprintf("api: unknown batch op %q", op.Op)}
-			failed = true
+			malformed(i, fmt.Sprintf("api: unknown batch op %q", op.Op))
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.checkIfMatch(w, r) {
-		return
-	}
-	if !failed {
-		itemErrs, err := s.ctl.ApplyBatch(s.clock(), ops, spec)
-		switch {
-		case err == nil:
-			// Applied: one new epoch covers the whole batch.
-		case errors.Is(err, core.ErrBatchFailed):
+	s.mutate(w, r, s.matchVersion, func(now sim.Time) error {
+		if !failed {
+			itemErrs, err := s.ctl.ApplyBatch(now, ops, spec)
+			if !errors.Is(err, core.ErrBatchFailed) {
+				// Applied — one new epoch covers the whole batch — or staged
+				// fine and rejected by the joint compile (e.g. the new spec
+				// doesn't cover the new tenant set).
+				return err
+			}
 			for i, ie := range itemErrs {
 				if ie != nil {
-					results[i].Error = errorBodyFor(ie)
+					_, code := classify(ie)
+					results[i].Error = &ErrorBody{Code: code, Message: ie.Error()}
 				}
 			}
-			failed = true
-		default:
-			// The batch staged fine but the joint compile rejected it
-			// (e.g. the new spec doesn't cover the new tenant set).
-			writeError(w, http.StatusConflict, CodeSynthFailed, err)
-			return
 		}
-	}
-	if failed {
-		writeJSON(w, http.StatusConflict, ErrorResponse{Error: ErrorBody{
-			Code:    CodeBatchFailed,
+		// Ops malformed on the wire or refused by the controller fail the
+		// batch alike.
+		status, code := classify(core.ErrBatchFailed)
+		return &replyError{status: status, body: ErrorBody{
+			Code:    code,
 			Message: "api: batch not applied; see items",
 			Items:   results,
-		}})
-		return
-	}
-	gen := uint64(0)
-	if e := s.ctl.Epochs().Current(); e != nil {
-		gen = e.Gen
-	}
-	v := s.ctl.Version()
-	w.Header().Set("ETag", `"`+strconv.FormatUint(v, 10)+`"`)
-	writeJSON(w, http.StatusOK, BatchResponse{
-		Results: results,
-		Spec:    s.ctl.Spec().String(),
-		Version: v,
-		Epoch:   gen,
+		}}
+	}, func() {
+		cur := s.live(w)
+		writeJSON(w, http.StatusOK, BatchResponse{Results: results, Spec: cur.Spec, Version: cur.Version, Epoch: cur.Epoch})
 	})
 }
 
@@ -168,21 +137,14 @@ func (s *Server) handlePatchSpec(w http.ResponseWriter, r *http.Request) {
 		ops[i] = policy.Op{Kind: op.Op, Tenant: op.Tenant,
 			Tier: op.Tier, Level: op.Level, Weight: op.Weight}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.checkIfMatch(w, r) {
-		return
-	}
-	spec, err := s.ctl.Spec().Apply(ops)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	if err := s.ctl.UpdateSpec(s.clock(), spec); err != nil {
-		writeError(w, http.StatusConflict, CodeSynthFailed, err)
-		return
-	}
-	s.specResponse(w, http.StatusOK)
+	s.mutate(w, r, s.matchVersion, func(now sim.Time) error {
+		spec, err := s.ctl.Spec().Apply(ops)
+		if err != nil {
+			return &replyError{status: http.StatusBadRequest,
+				body: ErrorBody{Code: CodeBadRequest, Message: err.Error()}}
+		}
+		return s.ctl.UpdateSpec(now, spec)
+	}, func() { s.specResponse(w) })
 }
 
 // handleGetTenant serves one registration with its content ETag.
@@ -192,8 +154,7 @@ func (s *Server) handleGetTenant(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	t, ok := s.ctl.Tenant(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownTenant,
-			fmt.Errorf("api: tenant %q: %w", name, core.ErrTenantNotFound))
+		fail(w, fmt.Errorf("api: tenant %q: %w", name, core.ErrTenantNotFound))
 		return
 	}
 	etag := tenantETag(t)
@@ -229,35 +190,32 @@ func (s *Server) handlePutTenant(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.ctl.Tenant(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownTenant,
-			fmt.Errorf("api: tenant %q: %w", name, core.ErrTenantNotFound))
-		return
-	}
-	if raw := trimETag(r.Header.Get("If-Match")); raw != "" && raw != "*" {
-		if cur := tenantETag(old); raw != cur {
-			w.Header().Set("ETag", `"`+cur+`"`)
-			writeJSON(w, http.StatusConflict, ErrorResponse{Error: ErrorBody{
-				Code:    CodeVersionConflict,
-				Message: fmt.Sprintf("api: tenant %q is at %s, If-Match named %s", name, cur, raw),
-			}})
-			return
+	var old *core.Tenant
+	s.mutate(w, r, func(r *http.Request) error {
+		var ok bool
+		if old, ok = s.ctl.Tenant(name); !ok {
+			return fmt.Errorf("api: tenant %q: %w", name, core.ErrTenantNotFound)
 		}
-	}
-	if t.ID == 0 {
-		// The label is part of the identity; an omitted id keeps the
-		// registered one rather than silently re-labeling the tenant.
-		t.ID = old.ID
-	}
-	if err := s.ctl.UpdateTenant(s.clock(), t); err != nil {
-		writeError(w, http.StatusConflict, CodeSynthFailed, err)
-		return
-	}
-	w.Header().Set("ETag", `"`+tenantETag(t)+`"`)
-	writeJSON(w, http.StatusOK, tenantInfo(t, s.ctl.Flagged(name), s.ctl.Quarantined(name)))
+		if raw := trimETag(r.Header.Get("If-Match")); raw != "" && raw != "*" {
+			if cur := tenantETag(old); raw != cur {
+				return &replyError{status: http.StatusConflict, etag: cur, body: ErrorBody{
+					Code:    CodeVersionConflict,
+					Message: fmt.Sprintf("api: tenant %q is at %s, If-Match named %s", name, cur, raw),
+				}}
+			}
+		}
+		return nil
+	}, func(now sim.Time) error {
+		if t.ID == 0 {
+			// The label is part of the identity; an omitted id keeps the
+			// registered one rather than silently re-labeling the tenant.
+			t.ID = old.ID
+		}
+		return s.ctl.UpdateTenant(now, t)
+	}, func() {
+		w.Header().Set("ETag", `"`+tenantETag(t)+`"`)
+		writeJSON(w, http.StatusOK, tenantInfo(t, s.ctl.Flagged(name), s.ctl.Quarantined(name)))
+	})
 }
 
 // handleEpochs exposes the policy-generation store: the live epoch, the

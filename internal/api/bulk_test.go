@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -280,58 +279,6 @@ func TestEpochsEndpoint(t *testing.T) {
 	if g.Published != 2 || g.Current.Gen != ctl.Version() {
 		t.Fatalf("after update: %+v (version %d)", g, ctl.Version())
 	}
-}
-
-func TestDeprecatedRouteHeaders(t *testing.T) {
-	c, _, ts := newTestServer(t, core.ControllerOptions{})
-	_ = c
-
-	assertDeprecated := func(t *testing.T, resp *http.Response, want bool) {
-		t.Helper()
-		if got := resp.Header.Get("Deprecation") == "true"; got != want {
-			t.Errorf("Deprecation header = %v, want %v", got, want)
-		}
-		link := resp.Header.Get("Link")
-		if want && !strings.Contains(link, "/v1/tenants:batch") {
-			t.Errorf("Link = %q, want successor /v1/tenants:batch", link)
-		}
-	}
-
-	// The legacy one-tenant mutations still work but advertise the bulk
-	// successor on every reply, success or failure.
-	body := `{"tenant":{"name":"extra","id":3,"algorithm":"fq"},"spec":"web >> deadline >> extra"}`
-	resp, err := ts.Client().Post(ts.URL+"/v1/tenants", "application/json",
-		bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("join status = %d", resp.StatusCode)
-	}
-	assertDeprecated(t, resp, true)
-
-	req := mustReq(t, http.MethodDelete, ts.URL+"/v1/tenants/extra?spec=web+%3E%3E+deadline")
-	if resp, err = ts.Client().Do(req); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("leave status = %d", resp.StatusCode)
-	}
-	assertDeprecated(t, resp, true)
-
-	// The successor route carries no deprecation marker.
-	resp, err = ts.Client().Post(ts.URL+"/v1/tenants:batch", "application/json",
-		bytes.NewReader([]byte(`{"ops":[{"op":"leave","name":"deadline"}],"spec":"web"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d", resp.StatusCode)
-	}
-	assertDeprecated(t, resp, false)
 }
 
 func TestPutSpecEpochAndConflictBody(t *testing.T) {

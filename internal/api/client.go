@@ -161,30 +161,6 @@ func (c *Client) Tenants(ctx context.Context) ([]TenantInfo, error) {
 	return out, err
 }
 
-// Join registers a tenant under a new operator specification.
-func (c *Client) Join(ctx context.Context, t TenantInfo, spec string) error {
-	return c.do(ctx, http.MethodPost, "/v1/tenants", JoinRequest{Tenant: t, Spec: spec}, nil)
-}
-
-// JoinIfMatch is Join conditional on the spec version (see SetSpecIfMatch).
-func (c *Client) JoinIfMatch(ctx context.Context, t TenantInfo, spec string, version uint64) error {
-	return c.doIfMatch(ctx, http.MethodPost, "/v1/tenants", ifMatchValue(version),
-		JoinRequest{Tenant: t, Spec: spec}, nil)
-}
-
-// Leave deregisters a tenant; spec is the specification after departure.
-func (c *Client) Leave(ctx context.Context, name, spec string) error {
-	path := "/v1/tenants/" + url.PathEscape(name) + "?spec=" + url.QueryEscape(spec)
-	return c.do(ctx, http.MethodDelete, path, nil, nil)
-}
-
-// LeaveIfMatch is Leave conditional on the spec version (see
-// SetSpecIfMatch).
-func (c *Client) LeaveIfMatch(ctx context.Context, name, spec string, version uint64) error {
-	path := "/v1/tenants/" + url.PathEscape(name) + "?spec=" + url.QueryEscape(spec)
-	return c.doIfMatch(ctx, http.MethodDelete, path, ifMatchValue(version), nil, nil)
-}
-
 // Batch applies a bulk tenant mutation (joins, leaves, updates, and an
 // optional new spec) as one transaction compiling into a single policy
 // epoch. On CodeBatchFailed the returned *APIError's Items report each

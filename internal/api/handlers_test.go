@@ -47,7 +47,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"wrong method tenants", http.MethodPut, "/v1/tenants", "", "", 405, CodeMethodNotAllowed},
 		{"wrong method check", http.MethodGet, "/v1/check", "", "", 405, CodeMethodNotAllowed},
 		{"wrong method metrics", http.MethodPost, "/v1/metrics", "", "", 405, CodeMethodNotAllowed},
-		{"malformed join", http.MethodPost, "/v1/tenants", "{not json", "", 400, CodeParseError},
+		{"malformed join", http.MethodPost, "/v1/tenants:batch", "{not json", "", 400, CodeParseError},
 		{"malformed spec", http.MethodPut, "/v1/spec", "{not json", "", 400, CodeParseError},
 		{"malformed compile", http.MethodPost, "/v1/compile", "{not json", "", 400, CodeParseError},
 		{"malformed fabric", http.MethodPost, "/v1/fabric", "{not json", "", 400, CodeParseError},
@@ -55,13 +55,22 @@ func TestErrorEnvelope(t *testing.T) {
 		{"bad spec text", http.MethodPut, "/v1/spec", `{"spec":">>"}`, "", 400, CodeParseError},
 		{"spec missing tenant", http.MethodPut, "/v1/spec", `{"spec":"web"}`, "", 409, CodeSynthFailed},
 		{"unknown tenant monitor", http.MethodGet, "/v1/tenants/ghost/monitor", "", "", 404, CodeUnknownTenant},
-		{"unknown tenant leave", http.MethodDelete,
-			"/v1/tenants/ghost?spec=" + url.QueryEscape("web >> deadline"), "", "", 404, CodeUnknownTenant},
-		{"leave missing spec", http.MethodDelete, "/v1/tenants/web", "", "", 400, CodeBadRequest},
-		{"duplicate join", http.MethodPost, "/v1/tenants",
-			`{"tenant":{"name":"web","id":7,"algorithm":"fq"},"spec":"web >> deadline"}`, "", 409, CodeTenantExists},
-		{"unknown ranker", http.MethodPost, "/v1/tenants",
-			`{"tenant":{"name":"z","id":9,"algorithm":"nope"},"spec":"web >> deadline >> z"}`, "", 400, CodeBadRequest},
+		// Membership changes travel as batches: a refused op is an item of a
+		// 409 batch_failed envelope, a batch the compile rejects is a 409
+		// synth_failed.
+		{"unknown tenant leave", http.MethodPost, "/v1/tenants:batch",
+			`{"ops":[{"op":"leave","name":"ghost"}],"spec":"web >> deadline"}`, "", 409, CodeBatchFailed},
+		{"leave missing spec", http.MethodPost, "/v1/tenants:batch",
+			`{"ops":[{"op":"leave","name":"web"}]}`, "", 409, CodeSynthFailed},
+		{"duplicate join", http.MethodPost, "/v1/tenants:batch",
+			`{"ops":[{"op":"join","tenant":{"name":"web","id":7,"algorithm":"fq"}}],"spec":"web >> deadline"}`, "", 409, CodeBatchFailed},
+		{"unknown ranker", http.MethodPost, "/v1/tenants:batch",
+			`{"ops":[{"op":"join","tenant":{"name":"z","id":9,"algorithm":"nope"}}],"spec":"web >> deadline >> z"}`, "", 409, CodeBatchFailed},
+		// The one-tenant shims are gone; the mux answers for the paths' other methods.
+		{"removed join route", http.MethodPost, "/v1/tenants",
+			`{"tenant":{"name":"z","id":9,"algorithm":"fq"},"spec":"web >> deadline >> z"}`, "", 405, CodeMethodNotAllowed},
+		{"removed leave route", http.MethodDelete,
+			"/v1/tenants/web?spec=" + url.QueryEscape("deadline"), "", "", 405, CodeMethodNotAllowed},
 		{"invalid compile target", http.MethodPost, "/v1/compile", `{"name":"none"}`, "", 400, CodeInvalidTarget},
 		{"malformed if-match", http.MethodPut, "/v1/spec", `{"spec":"web + deadline"}`, "abc", 400, CodeBadRequest},
 		{"stale if-match", http.MethodPut, "/v1/spec", `{"spec":"web + deadline"}`, "99", 409, CodeVersionConflict},
@@ -175,15 +184,15 @@ func TestIfMatchFlow(t *testing.T) {
 
 	// Join/Leave honor the precondition too.
 	cur := ctl.Version()
-	if err := c.JoinIfMatch(ctx, TenantInfo{Name: "batch", ID: 3, Algorithm: "fq"},
-		"web >> deadline + batch", cur); err != nil {
+	if _, err := c.BatchIfMatch(ctx, joinOne(TenantInfo{Name: "batch", ID: 3, Algorithm: "fq"},
+		"web >> deadline + batch"), cur); err != nil {
 		t.Fatal(err)
 	}
-	err = c.LeaveIfMatch(ctx, "batch", "web >> deadline", cur)
+	_, err = c.BatchIfMatch(ctx, leaveOne("batch", "web >> deadline"), cur)
 	if !errors.As(err, &ae) || ae.Code != CodeVersionConflict {
 		t.Fatalf("stale leave err = %v, want %s", err, CodeVersionConflict)
 	}
-	if err := c.LeaveIfMatch(ctx, "batch", "web >> deadline", ctl.Version()); err != nil {
+	if _, err := c.BatchIfMatch(ctx, leaveOne("batch", "web >> deadline"), ctl.Version()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -47,11 +47,9 @@ func NewServer(ctl *core.Controller, clock func() sim.Time) *Server {
 	mux.HandleFunc("PUT /v1/spec", s.handlePutSpec)
 	mux.HandleFunc("PATCH /v1/spec", s.handlePatchSpec)
 	mux.HandleFunc("GET /v1/tenants", s.handleListTenants)
-	mux.HandleFunc("POST /v1/tenants", deprecated("/v1/tenants:batch", s.handleJoin))
 	mux.HandleFunc("POST /v1/tenants:batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/tenants/{name}", s.handleGetTenant)
 	mux.HandleFunc("PUT /v1/tenants/{name}", s.handlePutTenant)
-	mux.HandleFunc("DELETE /v1/tenants/{name}", deprecated("/v1/tenants:batch", s.handleLeave))
 	mux.HandleFunc("GET /v1/tenants/{name}/monitor", s.handleMonitor)
 	mux.HandleFunc("GET /v1/epochs", s.handleEpochs)
 	mux.HandleFunc("POST /v1/check", s.handleCheck)
@@ -128,15 +126,63 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 	writeJSON(w, status, ErrorResponse{Error: ErrorBody{Code: code, Message: err.Error()}})
 }
 
-// deprecated marks a legacy route: the handler still works, but every
-// response carries the standard deprecation headers pointing clients at
-// the successor route.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
+// replyError is a failure the API layer raises itself and already knows
+// the answer to — a stale or malformed If-Match, an invalid patch op, a
+// batch with failed items. fail sends it as it is.
+type replyError struct {
+	status int
+	body   ErrorBody
+	etag   string // when set, the tag a retry should name
+}
+
+func (e *replyError) Error() string { return e.body.Message }
+
+// classify is the one table from a controller error's class to the status
+// and envelope code that report it, for whole requests and for batch items
+// alike. An error of no class is the joint compile rejecting the requested
+// configuration; the previous policy remains deployed.
+func classify(err error) (status int, code string) {
+	switch {
+	case errors.Is(err, core.ErrTenantNotFound):
+		return http.StatusNotFound, CodeUnknownTenant
+	case errors.Is(err, core.ErrTenantExists):
+		return http.StatusConflict, CodeTenantExists
+	case errors.Is(err, core.ErrBatchFailed):
+		return http.StatusConflict, CodeBatchFailed
+	default:
+		return http.StatusConflict, CodeSynthFailed
 	}
+}
+
+// fail answers a request the controller, or the API layer itself, refused.
+func fail(w http.ResponseWriter, err error) {
+	var re *replyError
+	if !errors.As(err, &re) {
+		status, code := classify(err)
+		re = &replyError{status: status, body: ErrorBody{Code: code, Message: err.Error()}}
+	}
+	if re.etag != "" {
+		w.Header().Set("ETag", `"`+re.etag+`"`)
+	}
+	writeJSON(w, re.status, ErrorResponse{Error: re.body})
+}
+
+// mutate is the path every mutating route takes once its body has parsed:
+// under the lock, check the If-Match precondition, call the controller,
+// and answer — a refusal through fail, a success through reply.
+func (s *Server) mutate(w http.ResponseWriter, r *http.Request,
+	match func(*http.Request) error, call func(now sim.Time) error, reply func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := match(r)
+	if err == nil {
+		err = call(s.clock())
+	}
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	reply()
 }
 
 func readJSON(r *http.Request, v any) error {
@@ -168,51 +214,48 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// checkIfMatch enforces optimistic concurrency: when the request carries
-// an If-Match header, the mutation proceeds only if it names the current
-// spec version (as returned by GET /v1/spec; bare or ETag-quoted, "*"
-// matches anything). It writes the error response and returns false on
-// mismatch. The caller must hold s.mu.
-func (s *Server) checkIfMatch(w http.ResponseWriter, r *http.Request) bool {
+// matchVersion enforces optimistic concurrency on the spec-versioned
+// routes: when the request carries an If-Match header, the mutation
+// proceeds only if it names the current spec version (as returned by GET
+// /v1/spec; bare or ETag-quoted, "*" matches anything). The caller must
+// hold s.mu.
+func (s *Server) matchVersion(r *http.Request) error {
 	raw := r.Header.Get("If-Match")
 	if raw == "" || raw == "*" {
-		return true
+		return nil
 	}
 	v, err := strconv.ParseUint(strings.Trim(raw, `"`), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("api: malformed If-Match %q: want a spec version", raw))
-		return false
+		return &replyError{status: http.StatusBadRequest, body: ErrorBody{Code: CodeBadRequest,
+			Message: fmt.Sprintf("api: malformed If-Match %q: want a spec version", raw)}}
 	}
 	if cur := s.ctl.Version(); v != cur {
 		// The conflict reply hands back everything a retry needs: the
 		// live version as both the envelope's current_version and the
 		// response ETag.
-		w.Header().Set("ETag", `"`+strconv.FormatUint(cur, 10)+`"`)
-		writeJSON(w, http.StatusConflict, ErrorResponse{Error: ErrorBody{
+		return &replyError{status: http.StatusConflict, etag: strconv.FormatUint(cur, 10), body: ErrorBody{
 			Code:           CodeVersionConflict,
 			Message:        fmt.Sprintf("api: spec version is %d, If-Match named %d", cur, v),
 			CurrentVersion: cur,
-		}})
-		return false
+		}}
 	}
-	return true
+	return nil
 }
 
-func (s *Server) specResponse(w http.ResponseWriter, status int) {
+// live returns the spec in force with its version and epoch, and names the
+// version as the reply's ETag. The caller must hold s.mu.
+func (s *Server) live(w http.ResponseWriter) SpecResponse {
 	v := s.ctl.Version()
-	gen := uint64(0)
-	if e := s.ctl.Epochs().Current(); e != nil {
-		gen = e.Gen
-	}
 	w.Header().Set("ETag", `"`+strconv.FormatUint(v, 10)+`"`)
-	writeJSON(w, status, SpecResponse{Spec: s.ctl.Spec().String(), Version: v, Epoch: gen})
+	return SpecResponse{Spec: s.ctl.Spec().String(), Version: v, Epoch: s.ctl.Epochs().Current().Gen}
 }
+
+func (s *Server) specResponse(w http.ResponseWriter) { writeJSON(w, http.StatusOK, s.live(w)) }
 
 func (s *Server) handleGetSpec(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.specResponse(w, http.StatusOK)
+	s.specResponse(w)
 }
 
 func (s *Server) handlePutSpec(w http.ResponseWriter, r *http.Request) {
@@ -226,16 +269,9 @@ func (s *Server) handlePutSpec(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeParseError, err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.checkIfMatch(w, r) {
-		return
-	}
-	if err := s.ctl.UpdateSpec(s.clock(), spec); err != nil {
-		writeError(w, http.StatusConflict, CodeSynthFailed, err)
-		return
-	}
-	s.specResponse(w, http.StatusOK)
+	s.mutate(w, r, s.matchVersion,
+		func(now sim.Time) error { return s.ctl.UpdateSpec(now, spec) },
+		func() { s.specResponse(w) })
 }
 
 func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
@@ -246,67 +282,6 @@ func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
 		out = append(out, tenantInfo(t, s.ctl.Flagged(t.Name), s.ctl.Quarantined(t.Name)))
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeParseError, err)
-		return
-	}
-	t, err := req.Tenant.toTenant()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	spec, err := policy.Parse(req.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeParseError, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.checkIfMatch(w, r) {
-		return
-	}
-	if err := s.ctl.Join(s.clock(), t, spec); err != nil {
-		code := CodeSynthFailed
-		if errors.Is(err, core.ErrTenantExists) {
-			code = CodeTenantExists
-		}
-		writeError(w, http.StatusConflict, code, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, tenantInfo(t, false, false))
-}
-
-func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	specText := r.URL.Query().Get("spec")
-	if specText == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			errors.New("api: missing spec query parameter"))
-		return
-	}
-	spec, err := policy.Parse(specText)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeParseError, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.checkIfMatch(w, r) {
-		return
-	}
-	if err := s.ctl.Leave(s.clock(), name, spec); err != nil {
-		if errors.Is(err, core.ErrTenantNotFound) {
-			writeError(w, http.StatusNotFound, CodeUnknownTenant, err)
-			return
-		}
-		writeError(w, http.StatusConflict, CodeSynthFailed, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {

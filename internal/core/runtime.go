@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"qvisor/internal/obs"
 	"qvisor/internal/pkt"
@@ -76,11 +77,6 @@ type ControllerOptions struct {
 	// techniques to "identify such adversarial workloads ... and
 	// automatically stop them").
 	Quarantine bool
-	// FullResynthesis disables the incremental per-tier memoization and
-	// forces every recompilation through a full Synthesize. Off by
-	// default; useful for A/B measurement (the churn benchmark) and as an
-	// escape hatch.
-	FullResynthesis bool
 	// EpochDeploy, if non-nil, compiles each published epoch onto the
 	// given backend so Epoch.Deployment is populated alongside the joint
 	// policy. Without it epochs carry the policy only.
@@ -117,21 +113,48 @@ func (o ControllerOptions) defaults() ControllerOptions {
 // "similarly to how we deploy forwarding rules when a packet from a new
 // flow arrives to a software-defined-networking switch".
 type Controller struct {
-	opts        ControllerOptions
-	spec        *policy.Spec
-	tenants     map[string]*Tenant
-	monitors    map[string]*Monitor
-	flagged     map[string]bool
-	quarantined map[string]bool
-	// lastCount is each monitor's observation count at the previous
-	// Check, for idle-tenant detection (§5 queue reallocation).
-	lastCount map[string]uint64
-	active    map[string]bool
-	pp        *Preprocessor
-	version   uint64
-	resynth   *Resynthesizer
-	epochs    *EpochStore
-	obs       *controllerObs
+	opts ControllerOptions
+	spec *policy.Spec
+	// members is the tenant set by name; byID indexes the same records by
+	// packet label, as of the last generation that went live.
+	members map[string]*member
+	byID    map[pkt.TenantID]*member
+	pp      *Preprocessor
+	version uint64
+	resynth *Resynthesizer
+	epochs  *EpochStore
+	obs     *controllerObs
+
+	// journal and pending are the open transaction (see commit): what to
+	// put back if it fails, and the events to announce once it is live.
+	journal []undo
+	pending []Event
+	// list and stamp are generate's scratch, reused across compiles.
+	list  []*Tenant
+	stamp uint64
+}
+
+// member is everything the controller keeps about one registered tenant.
+type member struct {
+	tenant  *Tenant
+	monitor *Monitor
+	// flagged: the tenant exceeded the out-of-bounds tolerance;
+	// quarantined: it was demoted to the bottom tier for it.
+	flagged, quarantined bool
+	// lastCount is the monitor's observation count at the previous Check,
+	// for idle-tenant detection (§5 queue reallocation), and active what
+	// that Check concluded: a tenant is active until a Check finds it silent.
+	lastCount uint64
+	active    bool
+	stamp     uint64 // see generate
+}
+
+// undo is one journal entry: the record a name mapped to before a write
+// (nil: none, the name was free) and the state the record was in.
+type undo struct {
+	name  string
+	rec   *member
+	saved member
 }
 
 // EpochDeploy configures per-epoch deployment (ControllerOptions).
@@ -154,7 +177,8 @@ const (
 
 // controllerObs holds the controller's registry-backed instruments. Event
 // counters are pre-registered for every EventKind so the exported series
-// set is stable from startup.
+// set is stable from startup. Without a registry every instrument is nil,
+// and a nil instrument ignores writes.
 type controllerObs struct {
 	resyntheses *obs.Counter
 	events      map[EventKind]*obs.Counter
@@ -165,9 +189,6 @@ type controllerObs struct {
 }
 
 func newControllerObs(reg *obs.Registry) *controllerObs {
-	if reg == nil {
-		return nil
-	}
 	o := &controllerObs{
 		resyntheses: reg.Counter(MetricCtlResyntheses,
 			"Joint-policy compilations performed."),
@@ -191,18 +212,7 @@ func newControllerObs(reg *obs.Registry) *controllerObs {
 	return o
 }
 
-// sync refreshes the controller gauges after any state change.
-func (c *Controller) syncObs() {
-	if c.obs == nil {
-		return
-	}
-	c.obs.version.Set(float64(c.version))
-	c.obs.tenants.Set(float64(len(c.tenants)))
-	c.obs.flagged.Set(float64(len(c.flagged)))
-	c.obs.quarantined.Set(float64(len(c.quarantined)))
-}
-
-// Typed sentinel errors reported by Join and Leave, so callers (notably
+// Typed sentinel errors reported by the mutations, so callers (notably
 // the API server) can map failures to status codes with errors.Is instead
 // of string matching.
 var (
@@ -210,40 +220,36 @@ var (
 	ErrTenantExists = errors.New("tenant already present")
 	// ErrTenantNotFound: Leave (or a lookup) named an unknown tenant.
 	ErrTenantNotFound = errors.New("tenant not present")
+	// ErrBatchFailed wraps ApplyBatch failures caused by individual
+	// operations; the per-item errors carry the detail.
+	ErrBatchFailed = errors.New("batch mutation failed")
 )
 
 // NewController compiles the initial joint policy and returns the
-// controller together with the pre-processor executing it.
+// controller together with the pre-processor executing it. The tenants are
+// staged like a batch of joins: a nil or twice-named one is an error.
 func NewController(tenants []*Tenant, spec *policy.Spec, opts ControllerOptions) (*Controller, *Preprocessor, error) {
 	opts = opts.defaults()
 	c := &Controller{
-		opts:        opts,
-		spec:        spec,
-		tenants:     make(map[string]*Tenant),
-		monitors:    make(map[string]*Monitor),
-		flagged:     make(map[string]bool),
-		quarantined: make(map[string]bool),
-		lastCount:   make(map[string]uint64),
-		active:      make(map[string]bool),
-		resynth:     NewResynthesizer(opts.Synth),
-		epochs:      NewEpochStore(UnknownWorst),
-		obs:         newControllerObs(opts.Metrics),
+		opts:    opts,
+		members: make(map[string]*member, len(tenants)),
+		byID:    make(map[pkt.TenantID]*member, len(tenants)),
+		resynth: NewResynthesizer(opts.Synth),
+		epochs:  NewEpochStore(UnknownWorst),
+		obs:     newControllerObs(opts.Metrics),
 	}
 	for _, t := range tenants {
-		c.tenants[t.Name] = t
+		if err := c.stage(TenantOp{Kind: OpJoin, Tenant: t}); err != nil {
+			return nil, nil, err
+		}
 	}
-	jp, err := c.compile()
+	e, err := c.generate(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := c.publish(jp)
-	if err != nil {
-		return nil, nil, err
-	}
+	c.settle()
 	c.pp = e.Preprocessor()
 	c.pp.EnableMetrics(opts.Metrics, c.tenantName)
-	c.resetMonitors()
-	c.syncObs()
 	return c, c.pp, nil
 }
 
@@ -254,12 +260,18 @@ func (c *Controller) Registry() *obs.Registry { return c.opts.Metrics }
 // tenantName maps a tenant ID back to its registered name for metric
 // labels; unregistered IDs fall back to a synthetic name.
 func (c *Controller) tenantName(id pkt.TenantID) string {
-	for name, t := range c.tenants {
-		if t.ID == id {
-			return name
-		}
+	if m := c.byID[id]; m != nil {
+		return m.tenant.Name
 	}
 	return fmt.Sprintf("tenant-%d", id)
+}
+
+// lookup returns a copy of the named tenant's record, zero when unregistered.
+func (c *Controller) lookup(name string) member {
+	if m := c.members[name]; m != nil {
+		return *m
+	}
+	return member{}
 }
 
 // Policy returns the currently deployed joint policy.
@@ -269,214 +281,334 @@ func (c *Controller) Policy() *JointPolicy { return c.pp.Policy() }
 func (c *Controller) Version() uint64 { return c.version }
 
 // Monitor returns the rank monitor for a tenant name, or nil.
-func (c *Controller) Monitor(name string) *Monitor { return c.monitors[name] }
+func (c *Controller) Monitor(name string) *Monitor { return c.lookup(name).monitor }
 
 // Observe records a rank emitted by a tenant (before transformation). The
 // simulator calls this from the pre-processor path.
 func (c *Controller) Observe(tenant pkt.TenantID, r int64) {
-	for name, t := range c.tenants {
-		if t.ID == tenant {
-			if m := c.monitors[name]; m != nil {
-				m.Observe(r)
-			}
-			return
-		}
+	if m := c.byID[tenant]; m != nil && m.monitor != nil {
+		m.monitor.Observe(r)
 	}
 }
 
-func (c *Controller) compile() (*JointPolicy, error) {
-	names := c.spec.Tenants()
-	inSpec := make(map[string]bool, len(names))
-	list := make([]*Tenant, 0, len(c.tenants))
-	for _, name := range names {
-		t, ok := c.tenants[name]
-		if !ok {
-			return nil, fmt.Errorf("core: spec tenant %q not registered", name)
+// generate makes the next policy generation out of the current tenant set
+// and the given spec: the one compile → deploy → publish sequence. The spec
+// is installed and the version assigned once nothing can fail any more, so
+// an error leaves both, the counters and the epoch store as they were.
+func (c *Controller) generate(spec *policy.Spec) (*Epoch, error) {
+	// The tenants in spec order. Each record the spec names is stamped, so a
+	// registered tenant it leaves out shows as a stale stamp.
+	c.stamp++
+	list, named := c.list[:0], 0
+	for _, tier := range spec.Tiers {
+		for _, lvl := range tier.Levels {
+			for _, name := range lvl.Tenants {
+				m := c.members[name]
+				if m == nil {
+					return nil, fmt.Errorf("core: spec tenant %q not registered", name)
+				}
+				if m.stamp != c.stamp {
+					m.stamp = c.stamp
+					named++
+				}
+				list = append(list, m.tenant)
+			}
 		}
-		inSpec[name] = true
-		list = append(list, t)
 	}
-	for name := range c.tenants {
-		if !inSpec[name] {
-			return nil, fmt.Errorf("core: tenant %q missing from operator spec %q", name, c.spec)
+	c.list = list
+	if named != len(c.members) {
+		var missing []string
+		for name, m := range c.members {
+			if m.stamp != c.stamp {
+				missing = append(missing, name)
+			}
 		}
+		return nil, fmt.Errorf("core: tenant %q missing from operator spec %q", slices.Min(missing), spec)
 	}
-	var jp *JointPolicy
-	var err error
-	if c.opts.FullResynthesis {
-		jp, err = Synthesize(list, c.spec, c.opts.Synth)
-	} else {
-		jp, err = c.resynth.Resynthesize(list, c.spec)
-	}
+	jp, err := c.resynth.Resynthesize(list, spec)
 	if err != nil {
 		return nil, err
 	}
-	c.version++
-	jp.Version = c.version
-	if c.obs != nil {
-		c.obs.resyntheses.Inc()
-	}
-	return jp, nil
-}
-
-// publish compiles the optional per-epoch deployment and installs jp as
-// the next policy generation, whose rewrite table the pre-processor then
-// shares. On deployment failure the version bump is rolled back so epoch
-// generations stay aligned with Version.
-func (c *Controller) publish(jp *JointPolicy) (*Epoch, error) {
 	var d *Deployment
 	if ed := c.opts.EpochDeploy; ed != nil {
-		var err error
-		d, err = jp.Deploy(ed.Backend, ed.Options)
-		if err != nil {
-			c.version--
+		if d, err = jp.Deploy(ed.Backend, ed.Options); err != nil {
 			return nil, err
 		}
 	}
+	c.spec = spec
+	c.version++
+	jp.Version = c.version
+	c.obs.resyntheses.Inc()
 	return c.epochs.Publish(jp, d), nil
 }
 
-func (c *Controller) recompile(now sim.Time, reason string) error {
-	jp, err := c.compile()
-	if err != nil {
-		return err
+// stage applies one op to the tenant set in place, journaling what it
+// overwrites. A rejected op changes nothing.
+func (c *Controller) stage(op TenantOp) error {
+	switch op.Kind {
+	case OpJoin, OpUpdate:
+		t := op.Tenant
+		if t == nil {
+			return fmt.Errorf("core: %v op without tenant", op.Kind)
+		}
+		m := c.members[t.Name]
+		switch {
+		case op.Kind == OpJoin && m != nil:
+			return fmt.Errorf("core: tenant %q: %w", t.Name, ErrTenantExists)
+		case op.Kind == OpUpdate && m == nil:
+			return fmt.Errorf("core: tenant %q: %w", t.Name, ErrTenantNotFound)
+		case m == nil:
+			c.journal = append(c.journal, undo{name: t.Name})
+			m = &member{active: true}
+			c.members[t.Name] = m
+		default:
+			c.journal = append(c.journal, undo{t.Name, m, *m})
+		}
+		// The monitor and the count Check compares it against start
+		// together, so a transmitting tenant never reads as idle against
+		// the discarded monitor's count.
+		m.tenant, m.monitor, m.lastCount = t, nil, 0
+		if b, err := t.EffectiveBounds(); err == nil {
+			m.monitor = NewMonitor(b, c.opts.WindowSize)
+		}
+	case OpLeave:
+		m := c.members[op.Name]
+		if m == nil {
+			return fmt.Errorf("core: tenant %q: %w", op.Name, ErrTenantNotFound)
+		}
+		// One delete drops the monitor, the marks and the activity state.
+		c.journal = append(c.journal, undo{op.Name, m, *m})
+		delete(c.members, op.Name)
+	default:
+		return fmt.Errorf("core: unknown op kind %v", op.Kind)
 	}
-	e, err := c.publish(jp)
-	if err != nil {
-		return err
-	}
-	c.pp.Pin(e)
-	c.emit(Event{Kind: EventResynthesized, At: now, Detail: reason})
 	return nil
 }
 
-func (c *Controller) resetMonitors() {
-	for name, t := range c.tenants {
-		b, err := t.EffectiveBounds()
-		if err != nil {
-			continue
-		}
-		c.monitors[name] = NewMonitor(b, c.opts.WindowSize)
+// commit is the controller's one mutation path, and a transaction: it
+// applies ops to the tenant set in place (journaled, so the cost follows the
+// ops, not the tenant count), installs spec when non-nil, and makes the next
+// generation. If an op is invalid, the spec and the tenant set disagree, or
+// synthesis or deployment fails, every registration, the spec and all
+// per-tenant state go back to what they were, no version is assigned and
+// nothing is emitted: events go out only once the new generation is live.
+// It returns what ApplyBatch documents.
+func (c *Controller) commit(now sim.Time, ops []TenantOp, spec *policy.Spec, reason string) ([]error, error) {
+	itemErrs := make([]error, len(ops))
+	var err error
+	if len(ops) == 0 && spec == nil {
+		err = fmt.Errorf("core: empty batch: %w", ErrBatchFailed)
 	}
+	for i, op := range ops {
+		if itemErrs[i] = c.stage(op); itemErrs[i] != nil {
+			err = fmt.Errorf("core: %w", ErrBatchFailed)
+		}
+	}
+	if err != nil {
+		c.rollback()
+		return itemErrs, err
+	}
+	if spec == nil {
+		spec = c.spec
+	}
+	e, err := c.generate(spec)
+	if err != nil {
+		// The batch staged fine but did not compile: no item is at fault.
+		c.rollback()
+		return nil, err
+	}
+	c.pp.Pin(e)
+	c.pending = append(c.pending, Event{Kind: EventResynthesized, At: now, Detail: reason})
+	// A tenant joined and removed by the same batch has no final state to
+	// track; the membership events still tell the story.
+	for _, op := range ops {
+		if op.Kind == OpLeave {
+			c.pending = append(c.pending, Event{Kind: EventTenantLeft, Tenant: op.Name, At: now})
+		}
+	}
+	for _, op := range ops {
+		if op.Kind == OpJoin {
+			c.pending = append(c.pending, Event{Kind: EventTenantJoined, Tenant: op.Tenant.Name, At: now})
+		}
+	}
+	c.settle()
+	return itemErrs, nil
 }
 
-func (c *Controller) emit(e Event) {
-	if c.obs != nil {
+// single reports the outcome of a one-op commit: the op's own error in
+// place of the batch wrapper's.
+func single(itemErrs []error, err error) error {
+	if len(itemErrs) > 0 && itemErrs[0] != nil {
+		return itemErrs[0]
+	}
+	return err
+}
+
+// rollback ends a transaction that failed: the journal is undone newest
+// first, so a name written twice ends on its oldest record, and the pending
+// events are dropped.
+func (c *Controller) rollback() {
+	for i := len(c.journal) - 1; i >= 0; i-- {
+		if u := c.journal[i]; u.rec == nil {
+			delete(c.members, u.name)
+		} else {
+			*u.rec = u.saved
+			c.members[u.name] = u.rec
+		}
+	}
+	c.end()
+}
+
+// end closes the transaction, letting go of the records it referenced.
+func (c *Controller) end() {
+	clear(c.journal)
+	c.journal, c.pending = c.journal[:0], c.pending[:0]
+}
+
+// settle ends a transaction that went through: the id index catches up
+// with the journaled names, the gauges refresh, the pending events go out.
+// The index moves only here and in two passes — every label a written
+// record owned is released before any final label is claimed — so a failed
+// transaction never touches it, and an update onto another tenant's label,
+// which the compile rejects, cannot clobber that tenant's entry.
+func (c *Controller) settle() {
+	for _, u := range c.journal {
+		if u.rec != nil && c.byID[u.saved.tenant.ID] == u.rec {
+			delete(c.byID, u.saved.tenant.ID)
+		}
+	}
+	for _, u := range c.journal {
+		if m := c.members[u.name]; m != nil {
+			c.byID[m.tenant.ID] = m
+		}
+	}
+	if c.opts.Metrics != nil {
+		var flagged, quarantined int
+		for _, m := range c.members {
+			if m.flagged {
+				flagged++
+			}
+			if m.quarantined {
+				quarantined++
+			}
+		}
+		c.obs.version.Set(float64(c.version))
+		c.obs.tenants.Set(float64(len(c.members)))
+		c.obs.flagged.Set(float64(flagged))
+		c.obs.quarantined.Set(float64(quarantined))
+	}
+	for _, e := range c.pending {
 		c.obs.events[e.Kind].Inc()
-		c.syncObs()
+		if c.opts.OnEvent != nil {
+			c.opts.OnEvent(e)
+		}
 	}
-	if c.opts.OnEvent != nil {
-		c.opts.OnEvent(e)
-	}
+	c.end()
 }
 
 // Join adds a tenant at runtime, updates the operator spec, and
 // re-synthesizes.
 func (c *Controller) Join(now sim.Time, t *Tenant, spec *policy.Spec) error {
-	if _, dup := c.tenants[t.Name]; dup {
-		return fmt.Errorf("core: tenant %q: %w", t.Name, ErrTenantExists)
-	}
-	c.tenants[t.Name] = t
-	c.spec = spec
-	if err := c.recompile(now, "tenant "+t.Name+" joined"); err != nil {
-		delete(c.tenants, t.Name)
-		return err
-	}
-	b, err := t.EffectiveBounds()
-	if err == nil {
-		c.monitors[t.Name] = NewMonitor(b, c.opts.WindowSize)
-	}
-	c.emit(Event{Kind: EventTenantJoined, Tenant: t.Name, At: now})
-	return nil
+	return single(c.commit(now, []TenantOp{{Kind: OpJoin, Tenant: t}}, spec, "tenant "+t.Name+" joined"))
 }
 
 // Leave removes a tenant at runtime, updates the operator spec, and
 // re-synthesizes.
 func (c *Controller) Leave(now sim.Time, name string, spec *policy.Spec) error {
-	t, ok := c.tenants[name]
-	if !ok {
-		return fmt.Errorf("core: tenant %q: %w", name, ErrTenantNotFound)
-	}
-	delete(c.tenants, name)
-	delete(c.monitors, name)
-	delete(c.flagged, name)
-	delete(c.quarantined, name)
-	c.spec = spec
-	if err := c.recompile(now, "tenant "+name+" left"); err != nil {
-		c.tenants[name] = t
-		return err
-	}
-	c.emit(Event{Kind: EventTenantLeft, Tenant: name, At: now})
-	return nil
+	return single(c.commit(now, []TenantOp{{Kind: OpLeave, Name: name}}, spec, "tenant "+name+" left"))
+}
+
+// UpdateTenant replaces a registered tenant's definition (bounds,
+// algorithm, levels — the name must match an existing tenant and the ID
+// must stay unique) and re-synthesizes. The previous definition is
+// restored on failure.
+func (c *Controller) UpdateTenant(now sim.Time, t *Tenant) error {
+	return single(c.commit(now, []TenantOp{{Kind: OpUpdate, Tenant: t}}, nil, "tenant "+t.Name+" updated"))
+}
+
+// UpdateSpec replaces the operator specification over the existing tenant
+// set and re-synthesizes. The previous spec is restored on failure.
+func (c *Controller) UpdateSpec(now sim.Time, spec *policy.Spec) error {
+	return single(c.commit(now, nil, spec, "operator spec updated"))
+}
+
+// ApplyBatch applies a set of tenant mutations and one spec replacement
+// as a single transaction: either every operation validates and the
+// whole batch compiles into ONE new policy generation, or nothing
+// changes. The returned slice has one entry per op (nil on success);
+// when any entry is non-nil the batch was not applied and the error
+// wraps ErrBatchFailed. Item errors wrap ErrTenantExists /
+// ErrTenantNotFound so callers can classify them.
+func (c *Controller) ApplyBatch(now sim.Time, ops []TenantOp, spec *policy.Spec) ([]error, error) {
+	return c.commit(now, ops, spec, fmt.Sprintf("batch of %d ops", len(ops)))
 }
 
 // Check runs one control-loop iteration: flags (and optionally
 // quarantines) adversarial tenants, and re-synthesizes with learned bounds
 // when a tenant's rank distribution has drifted. It returns true when a
-// new joint policy was deployed.
+// new joint policy was deployed. Its own writes ride the journal of the
+// commit it ends in, so a Check whose policy change fails did not happen:
+// its marks are cleared and the next Check retries. Tenants are visited in
+// spec order, so the resulting spec and event sequence are deterministic.
 func (c *Controller) Check(now sim.Time) (bool, error) {
-	drifted := false
-	var quarantine []string
-	for name, m := range c.monitors {
+	var ops []TenantOp
+	var demoted []Event
+	spec := c.spec
+	for _, name := range c.spec.Tenants() {
+		m := c.members[name]
+		if m == nil || m.monitor == nil {
+			continue
+		}
+		c.journal = append(c.journal, undo{name, m, *m})
 		// Activity between checks drives the §5 queue-reallocation
 		// decision: a tenant that emitted nothing since the last check
 		// is considered idle.
-		c.active[name] = m.Count() > c.lastCount[name]
-		c.lastCount[name] = m.Count()
-		if m.Count() < c.opts.MinObservations {
+		n := m.monitor.Count()
+		m.active, m.lastCount = n > m.lastCount, n
+		if n < c.opts.MinObservations {
 			continue
 		}
-		if f := m.OutsideFraction(); f > c.opts.AdversarialFraction && !c.flagged[name] {
-			c.flagged[name] = true
-			c.emit(Event{
-				Kind:   EventAdversarial,
-				Tenant: name,
-				At:     now,
-				Detail: fmt.Sprintf("%.1f%% of ranks outside declared %v", 100*f, m.Declared()),
-			})
-			if c.opts.Quarantine {
-				quarantine = append(quarantine, name)
+		if f := m.monitor.OutsideFraction(); f > c.opts.AdversarialFraction && !m.flagged {
+			m.flagged = true
+			detail := fmt.Sprintf("%.1f%% of ranks outside declared %v", 100*f, m.monitor.Declared())
+			c.pending = append(c.pending, Event{Kind: EventAdversarial, Tenant: name, At: now, Detail: detail})
+			if c.opts.Quarantine && !m.quarantined {
+				spec = spec.Demote(name)
+				m.quarantined = true
+				// Announced once the generation that demotes it is live.
+				detail = fmt.Sprintf("demoted to dedicated bottom tier: %s", spec)
+				demoted = append(demoted, Event{Kind: EventQuarantined, Tenant: name, At: now, Detail: detail})
 			}
 		}
 		// Quarantined tenants keep their declared bounds: learning from
 		// an adversary would let it steer the policy.
-		if c.quarantined[name] || (c.opts.Quarantine && c.flagged[name]) {
+		if m.quarantined || (c.opts.Quarantine && m.flagged) {
 			continue
 		}
-		if m.Drift() > c.opts.DriftThreshold {
-			if lb, ok := m.LearnedBounds(); ok {
-				c.tenants[name].Bounds = lb
-				c.monitors[name] = NewMonitor(lb, c.opts.WindowSize)
-				drifted = true
+		if m.monitor.Drift() > c.opts.DriftThreshold {
+			if lb, ok := m.monitor.LearnedBounds(); ok {
+				// On a copy: the registered definition is the caller's.
+				t := *m.tenant
+				t.Bounds = lb
+				ops = append(ops, TenantOp{Kind: OpUpdate, Tenant: &t})
 			}
 		}
 	}
-	for _, name := range quarantine {
-		if c.quarantined[name] {
-			continue
-		}
-		c.spec = c.spec.Demote(name)
-		c.quarantined[name] = true
-		drifted = true
-		c.emit(Event{
-			Kind:   EventQuarantined,
-			Tenant: name,
-			At:     now,
-			Detail: fmt.Sprintf("demoted to dedicated bottom tier: %s", c.spec),
-		})
-	}
-	if !drifted {
+	if len(ops) == 0 && spec == c.spec {
+		c.settle()
 		return false, nil
 	}
-	if err := c.recompile(now, "rank distribution drift"); err != nil {
+	if _, err := c.commit(now, ops, spec, "rank distribution drift"); err != nil {
 		return false, err
 	}
+	c.pending = append(c.pending, demoted...)
+	c.settle()
 	return true, nil
 }
 
 // Quarantined reports whether a tenant has been demoted to the bottom
 // tier.
-func (c *Controller) Quarantined(name string) bool { return c.quarantined[name] }
+func (c *Controller) Quarantined(name string) bool { return c.lookup(name).quarantined }
 
 // ActiveTenants returns the tenants that emitted at least one rank between
 // the two most recent Check calls, in spec order. Before the first Check
@@ -486,7 +618,7 @@ func (c *Controller) Quarantined(name string) bool { return c.quarantined[name] 
 func (c *Controller) ActiveTenants() []string {
 	var out []string
 	for _, name := range c.spec.Tenants() {
-		if len(c.active) == 0 || c.active[name] {
+		if c.lookup(name).active {
 			out = append(out, name)
 		}
 	}
@@ -499,32 +631,20 @@ func (c *Controller) ActiveTenants() []string {
 }
 
 // Flagged reports whether a tenant has been flagged as adversarial.
-func (c *Controller) Flagged(name string) bool { return c.flagged[name] }
+func (c *Controller) Flagged(name string) bool { return c.lookup(name).flagged }
 
 // Spec returns the operator specification currently in force.
 func (c *Controller) Spec() *policy.Spec { return c.spec }
 
 // Tenants returns the registered tenants in spec order.
 func (c *Controller) Tenants() []*Tenant {
-	out := make([]*Tenant, 0, len(c.tenants))
+	out := make([]*Tenant, 0, len(c.members))
 	for _, name := range c.spec.Tenants() {
-		if t, ok := c.tenants[name]; ok {
+		if t, ok := c.Tenant(name); ok {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-// UpdateSpec replaces the operator specification over the existing tenant
-// set and re-synthesizes. The previous spec is restored on failure.
-func (c *Controller) UpdateSpec(now sim.Time, spec *policy.Spec) error {
-	old := c.spec
-	c.spec = spec
-	if err := c.recompile(now, "operator spec updated"); err != nil {
-		c.spec = old
-		return err
-	}
-	return nil
 }
 
 // Epochs returns the controller's policy-generation store. The data
@@ -537,28 +657,8 @@ func (c *Controller) ResynthStats() ResynthStats { return c.resynth.Stats() }
 
 // Tenant returns the registered tenant with the given name.
 func (c *Controller) Tenant(name string) (*Tenant, bool) {
-	t, ok := c.tenants[name]
-	return t, ok
-}
-
-// UpdateTenant replaces a registered tenant's definition (bounds,
-// algorithm, levels — the name must match an existing tenant and the ID
-// must stay unique) and re-synthesizes. The previous definition is
-// restored on failure.
-func (c *Controller) UpdateTenant(now sim.Time, t *Tenant) error {
-	old, ok := c.tenants[t.Name]
-	if !ok {
-		return fmt.Errorf("core: tenant %q: %w", t.Name, ErrTenantNotFound)
-	}
-	c.tenants[t.Name] = t
-	if err := c.recompile(now, "tenant "+t.Name+" updated"); err != nil {
-		c.tenants[t.Name] = old
-		return err
-	}
-	if b, err := t.EffectiveBounds(); err == nil {
-		c.monitors[t.Name] = NewMonitor(b, c.opts.WindowSize)
-	}
-	return nil
+	t := c.lookup(name).tenant
+	return t, t != nil
 }
 
 // TenantOpKind classifies one entry of a batch mutation.
@@ -595,111 +695,4 @@ type TenantOp struct {
 	Tenant *Tenant
 	// Name names the tenant for OpLeave.
 	Name string
-}
-
-// ErrBatchFailed wraps ApplyBatch failures caused by individual
-// operations; the per-item errors carry the detail.
-var ErrBatchFailed = errors.New("batch mutation failed")
-
-// ApplyBatch applies a set of tenant mutations and one spec replacement
-// as a single transaction: either every operation validates and the
-// whole batch compiles into ONE new policy generation, or nothing
-// changes. The returned slice has one entry per op (nil on success);
-// when any entry is non-nil the batch was not applied and the error
-// wraps ErrBatchFailed. Item errors wrap ErrTenantExists /
-// ErrTenantNotFound so callers can classify them.
-func (c *Controller) ApplyBatch(now sim.Time, ops []TenantOp, spec *policy.Spec) ([]error, error) {
-	if len(ops) == 0 && spec == nil {
-		return nil, fmt.Errorf("core: empty batch: %w", ErrBatchFailed)
-	}
-	// Stage the mutations on a copy of the tenant map, collecting
-	// per-item errors without touching controller state.
-	staged := make(map[string]*Tenant, len(c.tenants))
-	for name, t := range c.tenants {
-		staged[name] = t
-	}
-	itemErrs := make([]error, len(ops))
-	failed := false
-	var joined, left, updated []string
-	for i, op := range ops {
-		switch op.Kind {
-		case OpJoin:
-			if op.Tenant == nil {
-				itemErrs[i] = fmt.Errorf("core: join op without tenant")
-				failed = true
-				continue
-			}
-			if _, dup := staged[op.Tenant.Name]; dup {
-				itemErrs[i] = fmt.Errorf("core: tenant %q: %w", op.Tenant.Name, ErrTenantExists)
-				failed = true
-				continue
-			}
-			staged[op.Tenant.Name] = op.Tenant
-			joined = append(joined, op.Tenant.Name)
-		case OpLeave:
-			if _, ok := staged[op.Name]; !ok {
-				itemErrs[i] = fmt.Errorf("core: tenant %q: %w", op.Name, ErrTenantNotFound)
-				failed = true
-				continue
-			}
-			delete(staged, op.Name)
-			left = append(left, op.Name)
-		case OpUpdate:
-			if op.Tenant == nil {
-				itemErrs[i] = fmt.Errorf("core: update op without tenant")
-				failed = true
-				continue
-			}
-			if _, ok := staged[op.Tenant.Name]; !ok {
-				itemErrs[i] = fmt.Errorf("core: tenant %q: %w", op.Tenant.Name, ErrTenantNotFound)
-				failed = true
-				continue
-			}
-			staged[op.Tenant.Name] = op.Tenant
-			updated = append(updated, op.Tenant.Name)
-		default:
-			itemErrs[i] = fmt.Errorf("core: unknown op kind %v", op.Kind)
-			failed = true
-		}
-	}
-	if failed {
-		return itemErrs, fmt.Errorf("core: %w", ErrBatchFailed)
-	}
-	oldTenants, oldSpec := c.tenants, c.spec
-	c.tenants = staged
-	if spec != nil {
-		c.spec = spec
-	}
-	if err := c.recompile(now, fmt.Sprintf("batch of %d ops", len(ops))); err != nil {
-		c.tenants, c.spec = oldTenants, oldSpec
-		return nil, err
-	}
-	// The batch is live: fix up per-tenant tracking state and emit the
-	// membership events.
-	for _, name := range left {
-		delete(c.monitors, name)
-		delete(c.flagged, name)
-		delete(c.quarantined, name)
-		delete(c.lastCount, name)
-		delete(c.active, name)
-		c.emit(Event{Kind: EventTenantLeft, Tenant: name, At: now})
-	}
-	for _, name := range joined {
-		// A tenant joined and removed by the same batch has no final
-		// state to track; the membership events still tell the story.
-		if t, ok := c.tenants[name]; ok {
-			if b, err := t.EffectiveBounds(); err == nil {
-				c.monitors[name] = NewMonitor(b, c.opts.WindowSize)
-			}
-		}
-		c.emit(Event{Kind: EventTenantJoined, Tenant: name, At: now})
-	}
-	for _, name := range updated {
-		if t, ok := c.tenants[name]; ok {
-			if b, err := t.EffectiveBounds(); err == nil {
-				c.monitors[name] = NewMonitor(b, c.opts.WindowSize)
-			}
-		}
-	}
-	return itemErrs, nil
 }

@@ -52,9 +52,6 @@ type ChurnConfig struct {
 	// interesting (they occupy lower tiers in groups of four). Zero
 	// means 8.
 	BulkTenants int
-	// FullResynthesis forces every recompilation through a full
-	// Synthesize, for A/B comparison against the incremental path.
-	FullResynthesis bool
 	// RingSize overrides the flight-recorder ring (0 = 1<<17 events).
 	RingSize int
 	// EpochDeploy, when true, compiles every published epoch onto
@@ -193,7 +190,6 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 
 	var res ChurnResult
 	opts := core.ControllerOptions{
-		FullResynthesis: cfg.FullResynthesis,
 		OnEvent: func(e core.Event) {
 			if e.Kind == core.EventResynthesized {
 				res.AdaptationEvents++

@@ -108,24 +108,6 @@ func TestChurnBoundedDisruption(t *testing.T) {
 		res.UpdatesApplied, res.MaxDraining)
 }
 
-// TestChurnFullResynthesisParity runs the same churn under
-// FullResynthesis and checks the epoch contract is mode-independent.
-func TestChurnFullResynthesisParity(t *testing.T) {
-	cfg := testChurnConfig()
-	cfg.Updates = 50
-	cfg.FullResynthesis = true
-	res, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatalf("RunChurn: %v", err)
-	}
-	if !res.Check.Passed() {
-		t.Errorf("epoch conformance failed under full resynthesis: %s", res.Check)
-	}
-	if res.UpdatesApplied != cfg.Updates {
-		t.Errorf("applied %d of %d updates", res.UpdatesApplied, cfg.Updates)
-	}
-}
-
 // TestChurnEpochDeploy exercises the per-epoch deployment path: every
 // generation carries a compiled sp-queues deployment.
 func TestChurnEpochDeploy(t *testing.T) {
