@@ -15,9 +15,7 @@ import (
 	"testing"
 
 	"qvisor/internal/experiments"
-	"qvisor/internal/obs"
 	"qvisor/internal/pkt"
-	"qvisor/internal/sched"
 	"qvisor/internal/sim"
 )
 
@@ -113,81 +111,6 @@ func BenchmarkFig3Transformations(b *testing.B) {
 		hv.Process(p)
 	}
 }
-
-// benchObsHotPath measures the full per-packet pipeline — pre-process,
-// enqueue, dequeue — with observability off (nil registry, the default) or
-// on. Comparing the Off/On pair bounds the instrumentation overhead; the
-// acceptance bar for the obs layer is < 5% regression.
-func benchObsHotPath(b *testing.B, instrument bool) {
-	hv, err := New([]*Tenant{
-		{ID: 1, Name: "T1", Bounds: Bounds{Lo: 7, Hi: 9}, Levels: 3},
-		{ID: 2, Name: "T2", Bounds: Bounds{Lo: 1, Hi: 3}, Levels: 2},
-		{ID: 3, Name: "T3", Bounds: Bounds{Lo: 3, Hi: 5}, Levels: 2},
-	}, "T1 >> T2 + T3", Options{Synth: SynthOptions{Base: 1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var m *sched.Metrics
-	if instrument {
-		reg := obs.NewRegistry()
-		hv.Pre.EnableMetrics(reg, nil)
-		ms, ok := hv.Scheduler.(sched.MetricsSetter)
-		if !ok {
-			b.Fatalf("%s does not implement sched.MetricsSetter", hv.Scheduler.Name())
-		}
-		m = sched.NewMetrics(reg, obs.L("scheduler", hv.Scheduler.Name()))
-		ms.SetMetrics(m)
-	}
-	p := &Packet{Size: 1500}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Tenant = pkt.TenantID(1 + i%3)
-		p.Rank = int64(1 + i%9)
-		if hv.Enqueue(p) {
-			hv.Dequeue()
-		}
-	}
-	b.StopTimer()
-	m.Flush()
-}
-
-// BenchmarkObsHotPathOff is the uninstrumented data-plane fast path.
-func BenchmarkObsHotPathOff(b *testing.B) { benchObsHotPath(b, false) }
-
-// BenchmarkObsHotPathOn is the same path with a live obs.Registry wired
-// into the pre-processor and the deployed scheduler. The delta over Off is
-// the absolute per-packet instrument cost (a handful of atomic updates);
-// the percentage here overstates the real-world overhead because the loop
-// does nothing but touch instruments — BenchmarkObsOverheadSim* measures
-// the same instruments under the full simulation pipeline.
-func BenchmarkObsHotPathOn(b *testing.B) { benchObsHotPath(b, true) }
-
-// benchObsSim runs one full packet-level simulation (the paper's sharing
-// scheme at moderate load) with and without a registry. This is the
-// system-level overhead of the observability layer: every port scheduler
-// and drop path is instrumented, so the Off/On delta is the acceptance
-// number for "instrumentation costs < 5% of the hot path".
-func benchObsSim(b *testing.B, instrument bool) {
-	cfg := benchCfg()
-	cfg.Horizon = 20 * sim.Millisecond
-	if instrument {
-		cfg.Registry = obs.NewRegistry()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SweepParallel(cfg, experiments.Schemes[:1],
-			[]float64{0.6}, experiments.RunnerConfig{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkObsOverheadSimOff is the simulation without a registry.
-func BenchmarkObsOverheadSimOff(b *testing.B) { benchObsSim(b, false) }
-
-// BenchmarkObsOverheadSimOn is the simulation with every port instrumented.
-func BenchmarkObsOverheadSimOn(b *testing.B) { benchObsSim(b, true) }
 
 // BenchmarkAblationQuantization (A1) compares coarse vs fine quantization
 // under the sharing policy; metrics are mean small-flow FCTs in ms.

@@ -52,7 +52,7 @@
 // Server.AttachTrace). Query parameters tenant, kind (repeatable), and
 // limit filter the snapshot; the response carries an ETag derived from
 // the recorder's event sequence number, so If-None-Match turns an
-// unchanged poll into a 304.
+// unchanged poll into a 304 answered from that number alone, no snapshot.
 //
 // GET /v1/slo serves the attached fidelity watchdog's live snapshot (see
 // Server.AttachSLO and internal/slo): shadow-oracle SLIs, per-tenant

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,6 +70,26 @@ func (c *Client) doIfMatch(ctx context.Context, method, path, ifMatch string, in
 // tags). Headers are returned even on API errors, nil only on transport
 // failures.
 func (c *Client) doHdr(ctx context.Context, method, path, ifMatch string, in, out any) (http.Header, error) {
+	resp, err := c.roundTrip(ctx, method, path, "If-Match", ifMatch, in)
+	if resp == nil {
+		return nil, err
+	}
+	if err != nil {
+		return resp.Header, err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		return resp.Header, nil
+	}
+	return resp.Header, json.NewDecoder(resp.Body).Decode(out)
+}
+
+// roundTrip sends one request — in as a JSON body when non-nil, one
+// header when its value is non-empty — and returns the response for the
+// caller to read and close. A status neither 2xx nor listed in also comes
+// back as the *APIError its envelope decodes to, beside the response with
+// its body closed; the response is nil only on a transport failure.
+func (c *Client) roundTrip(ctx context.Context, method, path, hdr, hdrValue string, in any, also ...int) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		buf, err := json.Marshal(in)
@@ -84,29 +105,26 @@ func (c *Client) doHdr(ctx context.Context, method, path, ifMatch string, in, ou
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if ifMatch != "" {
-		req.Header.Set("If-Match", ifMatch)
+	if hdrValue != "" {
+		req.Header.Set(hdr, hdrValue)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
+	if (resp.StatusCode >= 200 && resp.StatusCode <= 299) || slices.Contains(also, resp.StatusCode) {
+		return resp, nil
+	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		ae := &APIError{Status: resp.StatusCode, Message: resp.Status}
-		var er ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Message != "" {
-			ae.Code = er.Error.Code
-			ae.Message = er.Error.Message
-			ae.CurrentVersion = er.Error.CurrentVersion
-			ae.Items = er.Error.Items
-		}
-		return resp.Header, ae
+	ae := &APIError{Status: resp.StatusCode, Message: resp.Status}
+	var er ErrorResponse
+	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Message != "" {
+		ae.Code = er.Error.Code
+		ae.Message = er.Error.Message
+		ae.CurrentVersion = er.Error.CurrentVersion
+		ae.Items = er.Error.Items
 	}
-	if out == nil {
-		return resp.Header, nil
-	}
-	return resp.Header, json.NewDecoder(resp.Body).Decode(out)
+	return resp, ae
 }
 
 func ifMatchValue(version uint64) string {
@@ -307,24 +325,11 @@ func (c *Client) Trace(ctx context.Context, f TraceFilter) (TraceResponse, error
 // Metrics fetches the server's metrics in Prometheus text exposition
 // format.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/v1/metrics", "", "", nil)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		ae := &APIError{Status: resp.StatusCode, Message: resp.Status}
-		var er ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Message != "" {
-			ae.Code = er.Error.Code
-			ae.Message = er.Error.Message
-		}
-		return "", ae
-	}
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
 }

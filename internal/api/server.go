@@ -417,6 +417,27 @@ func (s *Server) handleFabric(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// unchanged is the conditional-GET path of /v1/trace and /v1/slo: it
+// answers 304 when If-None-Match names tag, the resource's current change
+// counter, and reports whether it did. The tag is looked at before anything
+// is copied: the counters are O(1) reads, a snapshot copies up to a whole
+// event ring under the lock the data plane records with. On a miss the
+// handler sends the snapshot's own tag (setETag) — the counter may have
+// moved since, and tag and body must be one pair.
+func unchanged(w http.ResponseWriter, r *http.Request, tag uint64) bool {
+	inm := r.Header.Get("If-None-Match")
+	if inm == "" || strings.Trim(inm, `"`) != strconv.FormatUint(tag, 10) {
+		return false
+	}
+	setETag(w, tag)
+	w.WriteHeader(http.StatusNotModified)
+	return true
+}
+
+func setETag(w http.ResponseWriter, tag uint64) {
+	w.Header().Set("ETag", `"`+strconv.FormatUint(tag, 10)+`"`)
+}
+
 // handleTrace serves a filtered snapshot of the flight recorder's ring.
 // The ETag is the recorder's sequence number: it advances with every
 // recorded event, so a matching If-None-Match proves the ring (and hence
@@ -450,15 +471,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Limit = v
 	}
+	if unchanged(w, r, s.tracer.Count()) {
+		return
+	}
 	// No s.mu: the recorder serializes internally, and the seq/events pair
 	// is taken atomically under its lock.
 	events, seq := s.tracer.Snapshot(f)
-	etag := `"` + strconv.FormatUint(seq, 10) + `"`
-	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && strings.Trim(inm, `"`) == strconv.FormatUint(seq, 10) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
+	setETag(w, seq)
 	writeJSON(w, http.StatusOK, TraceResponse{Seq: seq, Events: events})
 }
 

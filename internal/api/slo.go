@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"qvisor/internal/slo"
 )
@@ -38,15 +37,13 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 			errors.New("api: SLO reporting not enabled (server has no fidelity watchdog)"))
 		return
 	}
+	if unchanged(w, r, s.watch.Revision()) {
+		return
+	}
 	// One snapshot serves both the ETag and the body, so the pair is
 	// consistent even while the data plane keeps sampling.
 	snap := s.watch.Snapshot()
-	rev := strconv.FormatUint(snap.Revision, 10)
-	w.Header().Set("ETag", `"`+rev+`"`)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && strings.Trim(inm, `"`) == rev {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
+	setETag(w, snap.Revision)
 	writeJSON(w, http.StatusOK, snap)
 }
 
@@ -78,31 +75,19 @@ func (c *Client) SLO(ctx context.Context) (slo.Snapshot, error) {
 // false (with a zero snapshot) on 304. Pass 0 to fetch unconditionally.
 func (c *Client) SLOIfChanged(ctx context.Context, revision uint64) (slo.Snapshot, bool, error) {
 	var out slo.Snapshot
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/slo", nil)
-	if err != nil {
-		return out, false, err
-	}
+	tag := ""
 	if revision > 0 {
-		req.Header.Set("If-None-Match", `"`+strconv.FormatUint(revision, 10)+`"`)
+		tag = `"` + strconv.FormatUint(revision, 10) + `"`
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/v1/slo", "If-None-Match", tag, nil, http.StatusNotModified)
 	if err != nil {
 		return out, false, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
+	if resp.StatusCode == http.StatusNotModified {
 		return out, false, nil
-	case http.StatusOK:
-		return out, true, json.NewDecoder(resp.Body).Decode(&out)
 	}
-	ae := &APIError{Status: resp.StatusCode, Message: resp.Status}
-	var er ErrorResponse
-	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Message != "" {
-		ae.Code = er.Error.Code
-		ae.Message = er.Error.Message
-	}
-	return out, false, ae
+	return out, true, json.NewDecoder(resp.Body).Decode(&out)
 }
 
 // HealthStatus fetches burn-rate health. Unlike Health (which reports a
@@ -111,23 +96,10 @@ func (c *Client) SLOIfChanged(ctx context.Context, revision uint64) (slo.Snapsho
 // behind a "page" state.
 func (c *Client) HealthStatus(ctx context.Context) (HealthResponse, error) {
 	var out HealthResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/healthz", nil)
-	if err != nil {
-		return out, err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/v1/healthz", "", "", nil, http.StatusServiceUnavailable)
 	if err != nil {
 		return out, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusServiceUnavailable {
-		return out, json.NewDecoder(resp.Body).Decode(&out)
-	}
-	ae := &APIError{Status: resp.StatusCode, Message: resp.Status}
-	var er ErrorResponse
-	if json.NewDecoder(resp.Body).Decode(&er) == nil && er.Error.Message != "" {
-		ae.Code = er.Error.Code
-		ae.Message = er.Error.Message
-	}
-	return out, ae
+	return out, json.NewDecoder(resp.Body).Decode(&out)
 }

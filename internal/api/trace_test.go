@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"qvisor/internal/core"
@@ -13,6 +15,7 @@ import (
 	"qvisor/internal/policy"
 	"qvisor/internal/rank"
 	"qvisor/internal/sim"
+	"qvisor/internal/slo"
 	"qvisor/internal/trace"
 )
 
@@ -111,6 +114,47 @@ func TestTraceETag(t *testing.T) {
 	rec.Record(5000, trace.KindEmit, "host0", &pkt.Packet{ID: 3, Flow: 10, Tenant: 1})
 	if code := get(etag); code != http.StatusOK {
 		t.Fatalf("stale If-None-Match after new event: %d, want 200", code)
+	}
+}
+
+// TestConditionalPollIsCheap: a poll whose If-None-Match still matches
+// must be answered from the change counter alone. Against a full default
+// ring a snapshot is an 11 MB copy under the recorder's lock; the 304 has
+// to cost a few allocations of request plumbing, on /v1/slo likewise.
+func TestConditionalPollIsCheap(t *testing.T) {
+	tenants := []*core.Tenant{{ID: 1, Name: "web", Algorithm: &rank.PFabric{}}}
+	ctl, _, err := core.NewController(tenants, policy.MustParse("web"), core.ControllerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ctl, func() sim.Time { return 0 })
+	rec := trace.NewFlightRecorder(trace.Options{})
+	p := &pkt.Packet{ID: 1, Flow: 10, Tenant: 1, Size: 1500}
+	for i := 0; i < trace.DefaultRingSize; i++ {
+		rec.Record(sim.Time(i), trace.KindEnqueue, "host0→leaf0", p)
+	}
+	srv.AttachTrace(rec)
+	w := slo.New(slo.Config{SampleN: 1})
+	churn(w.PortWatch(), 0, 64, false)
+	srv.AttachSLO(w)
+
+	for path, tag := range map[string]uint64{"/v1/trace": rec.Count(), "/v1/slo": w.Revision()} {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("If-None-Match", `"`+strconv.FormatUint(tag, 10)+`"`)
+		const polls = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < polls; i++ {
+			resp := httptest.NewRecorder()
+			srv.ServeHTTP(resp, req)
+			if resp.Code != http.StatusNotModified || resp.Body.Len() != 0 {
+				t.Fatalf("%s: matching poll answered %d with %d body bytes, want an empty 304", path, resp.Code, resp.Body.Len())
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / polls; per >= 4096 {
+			t.Errorf("%s: a matching conditional poll allocates %d bytes, want under 4 KB", path, per)
+		}
 	}
 }
 

@@ -154,8 +154,8 @@ func buildFlatTable(jp *JointPolicy) *flatTable {
 }
 
 // preprocStage is the single-writer bookkeeping of one pre-processor, plain
-// arithmetic on the data path like sched.Metrics: stats is exact at all
-// times, and an instrumented pre-processor also stages its per-tenant
+// arithmetic on the data path like netsim's port series: stats is exact at
+// all times, and an instrumented pre-processor also stages its per-tenant
 // series in tenants for Flush to publish (nil, and a nil check, otherwise).
 type preprocStage struct {
 	stats PreprocStats
@@ -361,11 +361,11 @@ func (pp *Preprocessor) Stats() PreprocStats {
 }
 
 // Flush publishes the staged per-tenant counts to the registry and resets
-// them. Like sched.Metrics.Flush it belongs to the goroutine driving the
-// pre-processor and is called at sync points: netsim flushes from Run,
-// PortStats and FlushMetrics; call it directly before scraping a registry
-// fed by bare Process calls. Stats needs no flush. A no-op on a nil or
-// uninstrumented pre-processor.
+// them. Like the flush of netsim's port series it belongs to the goroutine
+// driving the pre-processor and is called at sync points: netsim flushes
+// from Run, PortStats and FlushMetrics; call it directly before scraping a
+// registry fed by bare Process calls. Stats needs no flush. A no-op on a
+// nil or uninstrumented pre-processor.
 func (pp *Preprocessor) Flush() {
 	if pp == nil {
 		return

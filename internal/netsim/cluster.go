@@ -8,7 +8,6 @@ import (
 	"qvisor/internal/pkt"
 	"qvisor/internal/rank"
 	"qvisor/internal/sim"
-	"qvisor/internal/slo"
 	"qvisor/internal/stats"
 	"qvisor/internal/trace"
 )
@@ -56,17 +55,17 @@ const (
 
 // Cluster runs one simulation as Shards parallel partitions under a
 // conservative-lookahead coordinator (see internal/sim). Each shard is a
-// partial Network — its own engine, packet pool, preprocessor clone, and
-// trace recorder — and cross-shard packets are exchanged at window
-// barriers in a deterministic global order, so a cluster run is
-// reproducible regardless of GOMAXPROCS or goroutine scheduling.
+// partial Network — its own engine, packet pool, and a fork of each
+// observer the caller attached (pre-processor, recorder, watchdog) — and
+// cross-shard packets are exchanged at window barriers in a deterministic
+// global order, so a cluster run is reproducible regardless of GOMAXPROCS
+// or goroutine scheduling.
 type Cluster struct {
-	cfg     Config
-	nets    []*Network
-	coord   *sim.Coordinator
-	seqs    []uint64 // per-shard handoff sequence counters
-	watches []*slo.Watchdog
-	fcts    *stats.Collector
+	cfg   Config
+	nets  []*Network
+	coord *sim.Coordinator
+	seqs  []uint64 // per-shard handoff sequence counters
+	fcts  *stats.Collector
 
 	flushed sim.CoordStats // coordinator counters already published
 	merged  bool
@@ -114,20 +113,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				c.coord.Send(sim.Message{At: at, Dst: dst, Link: link, Seq: c.seqs[i], Data: p})
 			},
 		}
+		// One fork/absorb contract for all three observers: the shard
+		// runs a private fork of the parent's configuration (nil forks
+		// nil) and finish absorbs it back into the parent.
 		scfg := cfg
 		scfg.Preprocessor = cfg.Preprocessor.Clone()
-		if cfg.Watch != nil {
-			scfg.Watch = cfg.Watch.Shard(i)
-			c.watches = append(c.watches, scfg.Watch)
-		}
-		if cfg.Trace != nil {
-			topts := cfg.Trace.Options()
-			topts.Shard = i
-			if topts.RingSize <= 0 {
-				topts.RingSize = trace.DefaultRingSize
-			}
-			scfg.Trace = trace.NewFlightRecorder(topts)
-		}
+		scfg.Trace = cfg.Trace.Shard(i)
+		scfg.Watch = cfg.Watch.Shard(i)
 		n, err := build(scfg, part)
 		if err != nil {
 			return nil, err
@@ -221,35 +213,18 @@ func (c *Cluster) finish() {
 	for _, r := range recs {
 		c.fcts.Add(r)
 	}
-	// Trace rings, merged into the parent recorder by (time, shard).
-	// Stable sort keeps each shard's own event order for same-nanosecond
-	// events. Note the merge sees at most RingSize recent events per
-	// shard — the same window a single recorder keeps.
-	if c.cfg.Trace != nil {
-		var events []trace.Event
-		for _, n := range c.nets {
-			evs, _ := n.cfg.Trace.Snapshot(trace.AllEvents)
-			events = append(events, evs...)
-		}
-		sort.SliceStable(events, func(i, j int) bool {
-			if events[i].TimeNs != events[j].TimeNs {
-				return events[i].TimeNs < events[j].TimeNs
-			}
-			return events[i].Shard < events[j].Shard
-		})
-		c.cfg.Trace.Append(events)
-	}
-	// Preprocessor stats roll up into the parent the caller holds.
-	if c.cfg.Preprocessor != nil {
-		for _, n := range c.nets {
+	// The forks roll up into the parents the caller holds: recorders
+	// merged by (time, shard), pre-processor counters summed, watchdog SLIs
+	// merged by absolute window index — commutative in shard order.
+	traces := make([]*trace.Recorder, len(c.nets))
+	for i, n := range c.nets {
+		traces[i] = n.cfg.Trace
+		if c.cfg.Preprocessor != nil {
 			c.cfg.Preprocessor.Absorb(n.pre.Stats())
 		}
+		c.cfg.Watch.Absorb(n.cfg.Watch)
 	}
-	// Watchdog SLI state merges into the parent by absolute window index;
-	// the merge is commutative, so shard order cannot change the result.
-	for _, w := range c.watches {
-		c.cfg.Watch.Absorb(w)
-	}
+	c.cfg.Trace.Absorb(traces...)
 	c.FlushMetrics()
 }
 

@@ -7,7 +7,6 @@ import (
 	"qvisor/internal/rank"
 	"qvisor/internal/sim"
 	"qvisor/internal/stats"
-	"qvisor/internal/trace"
 	"qvisor/internal/workload"
 )
 
@@ -106,8 +105,8 @@ func (sf *sendFlow) payload(idx int) int {
 }
 
 // trySend fills the window: retransmissions first, then new data. Each
-// packet is ranked, counted, booked in the send state and traced before it
-// goes to the uplink.
+// packet is ranked, counted, booked in the send state and shown to the tap
+// before it goes to the uplink.
 func (sf *sendFlow) trySend(now sim.Time) {
 	if sf.completed {
 		return
@@ -145,7 +144,7 @@ func (sf *sendFlow) trySend(now sim.Time) {
 		sf.state[idx] = stInflight
 		sf.inflight++
 		sf.armTimer(now)
-		n.cfg.Trace.Record(now, trace.KindEmit, sf.host.name, p)
+		n.tap.emit(now, sf.host.name, p)
 		sf.host.up.send(now, p)
 	}
 }
@@ -265,7 +264,7 @@ func (h *Host) startCBR(now sim.Time, td *TenantDef, spec workload.FlowSpec, id 
 		p.SentAt = tnow
 		p.Deadline = fl.Deadline
 		n.count.CBRSent++
-		n.cfg.Trace.Record(tnow, trace.KindEmit, h.name, p)
+		n.tap.emit(tnow, h.name, p)
 		h.up.send(tnow, p)
 		n.eng.After(interval, tick)
 	}
@@ -280,8 +279,7 @@ func (h *Host) stopCBR() { h.cbrStop = true }
 func (h *Host) receive(now sim.Time, p *pkt.Packet) {
 	n := h.net
 	n.count.Delivered++
-	n.cfg.Trace.Record(now, trace.KindDeliver, h.name, p)
-	n.cfg.Watch.OnDeliver(now, p)
+	n.tap.deliver(now, h.name, p)
 	switch p.Kind {
 	case pkt.Ack:
 		if sf, ok := h.sending[p.Flow]; ok {
@@ -307,7 +305,7 @@ func (h *Host) receive(now sim.Time, p *pkt.Packet) {
 		ack.SentAt = now
 		ack.AckSeq = p.Seq
 		n.count.AcksSent++
-		n.cfg.Trace.Record(now, trace.KindEmit, h.name, ack)
+		n.tap.emit(now, h.name, ack)
 		h.up.send(now, ack)
 	}
 	n.releasePkt(p)

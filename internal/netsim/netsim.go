@@ -83,23 +83,27 @@ type Config struct {
 	// Trace, when non-nil, records packet lifecycle events — emit,
 	// switch arrival, rank transform, per-port enqueue/dequeue, deliver,
 	// and drop (with cause) — into the recorder's ring and/or JSONL
-	// stream. With sampling configured, unsampled flows cost one modulo
-	// per event site and no allocation.
+	// stream. Whether the recorder samples a packet's flow is decided
+	// once, where the packet is created, and carried on the packet
+	// (tap.go): an unsampled packet costs one branch per event site and
+	// no allocation. A cluster forks one child recorder per shard and
+	// merges them back into Trace after Run.
 	Trace *trace.Recorder
 	// Watch, when non-nil, is the online fidelity watchdog
 	// (internal/slo): every port mirrors a flow-consistent sample of its
-	// traffic into a shadow oracle, and hosts report sampled deliveries
-	// and admission drops. In sharded mode the cluster forks one child
-	// watchdog per shard and merges them back into Watch after Run, the
-	// same lifecycle as Trace — so the caller reads SLIs from Watch in
+	// traffic into a shadow oracle, and the network reports sampled
+	// deliveries and switch-side drops; the sample is decided at emit
+	// like Trace's, on the watchdog's own rate. A cluster forks and
+	// re-merges it like Trace — so the caller reads SLIs from Watch in
 	// both modes, and the merged snapshot is byte-identical to a
 	// single-threaded run of the same traffic.
 	Watch *slo.Watchdog
 	// Registry, when non-nil, exports fabric telemetry (internal/obs):
 	// per-role tx/drop counters, per-port utilization and high-water-mark
-	// gauges, and the sched.Metrics families (aggregated per device role)
-	// on every port scheduler that implements sched.MetricsSetter. All of
-	// it is staged on the data path and published by Run/PortStats/
+	// gauges, and the qvisor_sched_* families (per device role and
+	// scheduler name) of every port scheduler, whatever its type: the
+	// port counts what goes in and comes out (series.go). All of it is
+	// staged on the data path and published by Run/PortStats/
 	// FlushMetrics, so instrumentation costs no atomics per packet.
 	Registry *obs.Registry
 	// Pool, when non-nil, supplies the packet buffers: the network
@@ -244,6 +248,7 @@ type Network struct {
 	eng    *sim.Engine
 	pool   *pkt.Pool          // nil when pooling is disabled (nil-safe methods)
 	pre    *core.Preprocessor // Config.Preprocessor, or the network's own under Config.Epochs
+	tap    tap                // Config.Trace and Config.Watch: where every packet event is reported
 	hosts  []*Host
 	leaves []*Switch
 	spines []*Switch
@@ -258,10 +263,9 @@ type Network struct {
 	// packets here so their arrival events cost no allocation.
 	inbound []inboundRing
 
-	// roleMetrics shares one sched.Metrics bundle per (device role,
-	// scheduler name), so the scheduler families aggregate across the
-	// role's ports.
-	roleMetrics map[string]*sched.Metrics
+	// series shares one scheduler series per (device role, scheduler
+	// name), so the scheduler families aggregate across the role's ports.
+	series map[string]*schedSeries
 
 	// dropStage stages per-(tenant, cause) drop counts on the data path
 	// as plain map increments; FlushMetrics publishes the deltas into the
@@ -279,13 +283,20 @@ type dropKey struct {
 	cause  sched.DropCause
 }
 
-// countDrop books one dropped packet network-wide and stages its
-// (tenant, cause) attribution when the network is instrumented.
-func (n *Network) countDrop(t pkt.TenantID, cause sched.DropCause) {
+// drop removes p from the network: the one place a dropped packet is
+// counted, attributed to (tenant, cause) when instrumented, shown to the
+// observers and released. pt is the port whose scheduler refused or evicted
+// p, nil when a switch dropped it outside any queue.
+func (n *Network) drop(now sim.Time, where string, pt *Port, p *pkt.Packet, cause sched.DropCause) {
 	n.count.Dropped++
 	if n.dropStage != nil {
-		n.dropStage[dropKey{t, cause}]++
+		n.dropStage[dropKey{p.Tenant, cause}]++
 	}
+	if pt != nil {
+		pt.drops++
+	}
+	n.tap.drop(now, where, pt, p, cause)
+	n.releasePkt(p)
 }
 
 // tenantName resolves a tenant ID to its configured name for metric
@@ -311,25 +322,19 @@ const (
 	MetricDropsByCause    = "qvisor_netsim_drops_by_cause_total"
 )
 
-// schedMetrics returns the shared scheduler instrument bundle for one
-// (role, scheduler) pair — nil when the network is uninstrumented. The
-// engine clock is attached so instrumented schedulers record per-packet
-// sojourn times.
-func (n *Network) schedMetrics(role, scheduler string) *sched.Metrics {
+// schedSeries returns the shared scheduler series for one (role,
+// scheduler) pair — nil when the network is uninstrumented.
+func (n *Network) schedSeries(role, scheduler string) *schedSeries {
 	if n.cfg.Registry == nil {
 		return nil
 	}
-	if n.roleMetrics == nil {
-		n.roleMetrics = make(map[string]*sched.Metrics)
-	}
 	key := role + "\x00" + scheduler
-	m, ok := n.roleMetrics[key]
+	s, ok := n.series[key]
 	if !ok {
-		m = sched.NewMetrics(n.cfg.Registry,
-			obs.L("role", role), obs.L("scheduler", scheduler)).WithClock(n.eng.Now)
-		n.roleMetrics[key] = m
+		s = newSchedSeries(n.cfg.Registry, obs.L("role", role), obs.L("scheduler", scheduler))
+		n.series[key] = s
 	}
-	return m
+	return s
 }
 
 // New builds the whole network on one engine and schedules all tenant
@@ -373,6 +378,7 @@ func build(cfg Config, part *partition) (*Network, error) {
 		eng:  eng,
 		pool: pool,
 		pre:  cfg.Preprocessor,
+		tap:  tap{rec: cfg.Trace, watch: cfg.Watch},
 		fcts: stats.NewCollector(),
 		part: part,
 	}
@@ -385,6 +391,7 @@ func build(cfg Config, part *partition) (*Network, error) {
 	if cfg.Registry != nil {
 		n.dropStage = make(map[dropKey]uint64)
 		n.dropFlushed = make(map[dropKey]uint64)
+		n.series = make(map[string]*schedSeries)
 		n.tenantNames = make(map[pkt.TenantID]string, len(cfg.Tenants))
 		for i := range cfg.Tenants {
 			n.tenantNames[cfg.Tenants[i].ID] = cfg.Tenants[i].Name
@@ -633,7 +640,7 @@ func (n *Network) PortStats() []PortStats {
 
 // FlushMetrics publishes the staged telemetry into the registry: per-port
 // tx/drop counter deltas, the lazily computed per-port gauges (utilization,
-// queue high-water mark), the per-role scheduler stages and the
+// queue high-water mark), the per-role scheduler series and the
 // pre-processor's per-tenant stage. Run and PortStats call it; call it
 // directly only when scraping mid-simulation.
 func (n *Network) FlushMetrics() {
@@ -645,8 +652,8 @@ func (n *Network) FlushMetrics() {
 	n.forEachPort(func(p *Port) {
 		p.flushObs(elapsed)
 	})
-	for _, m := range n.roleMetrics {
-		m.Flush()
+	for _, s := range n.series {
+		s.flush()
 	}
 	for k, v := range n.dropStage {
 		if d := v - n.dropFlushed[k]; d > 0 {

@@ -6,7 +6,6 @@ import (
 	"qvisor/internal/sched"
 	"qvisor/internal/sim"
 	"qvisor/internal/slo"
-	"qvisor/internal/trace"
 )
 
 // Port is one unidirectional output port: a scheduler feeding a
@@ -31,10 +30,13 @@ type Port struct {
 	txDone   sim.Event
 	arrive   sim.Event
 
-	// watch mirrors a sampled subset of this port's queue into the
-	// fidelity watchdog's shadow oracle; nil (a no-op on every call)
-	// when the network runs without one.
-	watch *slo.PortWatch
+	// The tap's per-port state: watch mirrors a sampled subset of this
+	// port's queue into the watchdog's shadow oracle, series is shared by
+	// the port's (role, scheduler), flushedInv is how much of q's own
+	// inversion count it already holds. Nil, and a no-op, when unobserved.
+	watch      *slo.PortWatch
+	series     *schedSeries
+	flushedInv uint64
 
 	// Telemetry.
 	txBytes   uint64
@@ -81,15 +83,10 @@ func (n *Network) newPort(role string, id int, name string, rateBps float64, del
 	// The scheduler's drop callback is the single release point for
 	// refused and evicted packets (see the ownership contract on
 	// sched.Scheduler): nothing downstream sees them again. The cause
-	// reported by the scheduler flows into the trace and the per-tenant
-	// drop-cause counters.
-	pt.watch = n.cfg.Watch.PortWatch()
+	// reported by the scheduler flows into the trace, the port series and
+	// the per-tenant drop-cause counters.
 	drop := sched.DropFn(func(p *pkt.Packet, cause sched.DropCause) {
-		n.countDrop(p.Tenant, cause)
-		pt.drops++
-		n.cfg.Trace.RecordDrop(n.eng.Now(), name, p, cause.String())
-		pt.watch.OnDrop(n.eng.Now(), p, cause)
-		n.releasePkt(p)
+		n.drop(n.eng.Now(), name, pt, p, cause)
 	})
 	pt.arrive = func(now sim.Time) {
 		pt.deliver(now, pt.inflight.Pop())
@@ -105,11 +102,8 @@ func (n *Network) newPort(role string, id int, name string, rateBps float64, del
 	if pt.q == nil {
 		pt.q = n.cfg.Scheduler(drop)
 	}
-	if ms, ok := pt.q.(sched.MetricsSetter); ok {
-		if m := n.schedMetrics(role, pt.q.Name()); m != nil {
-			ms.SetMetrics(m)
-		}
-	}
+	pt.watch = n.tap.watch.PortWatch()
+	pt.series = n.schedSeries(role, pt.q.Name())
 	return pt
 }
 
@@ -119,8 +113,7 @@ func (pt *Port) send(now sim.Time, p *pkt.Packet) {
 	if !pt.q.Enqueue(p) {
 		return
 	}
-	pt.net.cfg.Trace.Record(now, trace.KindEnqueue, pt.name, p)
-	pt.watch.OnEnqueue(now, p)
+	pt.net.tap.enqueue(now, pt, p)
 	if b := pt.q.Bytes(); b > pt.maxQueued {
 		pt.maxQueued = b
 	}
@@ -136,8 +129,7 @@ func (pt *Port) kick(now sim.Time) {
 	if p == nil {
 		return
 	}
-	pt.net.cfg.Trace.Record(now, trace.KindDequeue, pt.name, p)
-	pt.watch.OnDequeue(now, p)
+	pt.net.tap.dequeue(now, pt, p)
 	pt.busy = true
 	tx := txTime(p.Size, pt.rateBps)
 	pt.txBytes += uint64(p.Size)
@@ -196,10 +188,17 @@ func (pt *Port) stats(elapsed sim.Time) PortStats {
 }
 
 // flushObs publishes the port's staged telemetry: counter deltas since the
-// last flush plus the current gauge values.
+// last flush plus the current gauge values. Inversions are the one number
+// only a discipline knows: a scheduler with a Stats method has its delta
+// folded into the series here.
 func (pt *Port) flushObs(elapsed sim.Time) {
 	if pt.obsUtil == nil {
 		return
+	}
+	if q, ok := pt.q.(interface{ Stats() sched.Stats }); ok {
+		inv := q.Stats().Inversion
+		pt.series.st.inversions += inv - pt.flushedInv
+		pt.flushedInv = inv
 	}
 	s := pt.stats(elapsed)
 	pt.obsUtil.Set(s.Utilization)

@@ -6,7 +6,6 @@ import (
 	"qvisor/internal/pkt"
 	"qvisor/internal/sched"
 	"qvisor/internal/sim"
-	"qvisor/internal/trace"
 )
 
 type switchKind int
@@ -46,40 +45,30 @@ func newSwitch(n *Network, kind switchKind, id, nports int) *Switch {
 }
 
 // receive handles an arriving packet: pre-process, route, enqueue. The
-// flight recorder sees the switch arrival, the rank transform (with the
-// pre-transform rank), and any drop the switch itself causes — a
-// pre-processor rejection is an admission drop, an unroutable
-// destination a fault.
+// tap sees the switch arrival, the rank transform (with the pre-transform
+// rank), and any drop the switch itself causes — a pre-processor rejection
+// is an admission drop, an unroutable destination a fault. Those drops
+// happen outside any port scheduler, hence the nil port.
 func (sw *Switch) receive(now sim.Time, p *pkt.Packet) {
 	n := sw.net
-	n.cfg.Trace.Record(now, trace.KindArrive, sw.name, p)
+	n.tap.arrive(now, sw.name, p)
 	if !p.Tagged && (n.pre != nil || n.cfg.Epochs != nil) {
 		p.Tagged = true
 		if pp := n.preprocFor(p); pp != nil {
 			pre := p.Rank
 			if !pp.Process(p) {
-				sw.drop(now, p, sched.CauseAdmission)
+				n.drop(now, sw.name, nil, p, sched.CauseAdmission)
 				return
 			}
-			n.cfg.Trace.RecordTransform(now, sw.name, p, pre)
+			n.tap.transform(now, sw.name, p, pre)
 		}
 	}
 	out := sw.route(p)
 	if out == nil {
-		sw.drop(now, p, sched.CauseFault)
+		n.drop(now, sw.name, nil, p, sched.CauseFault)
 		return
 	}
 	out.send(now, p)
-}
-
-// drop removes a packet the switch itself refuses — outside any port
-// scheduler, so it is reported here to every observer a port drop reaches.
-func (sw *Switch) drop(now sim.Time, p *pkt.Packet, cause sched.DropCause) {
-	n := sw.net
-	n.countDrop(p.Tenant, cause)
-	n.cfg.Trace.RecordDrop(now, sw.name, p, cause.String())
-	n.cfg.Watch.OnDrop(now, p, cause)
-	n.releasePkt(p)
 }
 
 func (sw *Switch) route(p *pkt.Packet) *Port {

@@ -26,9 +26,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // BucketsQuantile is the quantile estimator over a plain bucket-count
 // array laid out by BucketIndex: counts[i] observations in bucket i.
-// It is exported for single-writer stages (sched.Metrics, internal/slo)
-// that count buckets locally on the data path and only publish at sync
-// points — they get the exact same estimate a Histogram would give.
+// It is exported for single-writer stages (netsim's port series,
+// internal/slo) that count buckets locally on the data path and only
+// publish at sync points — they get the exact same estimate a Histogram
+// would give.
 // Counts beyond the bucket array are ignored; an all-zero array yields 0.
 func BucketsQuantile(counts []uint64, q float64) float64 {
 	if len(counts) > HistogramBuckets+1 {

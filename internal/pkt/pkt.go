@@ -75,6 +75,10 @@ type Packet struct {
 	// already rewritten; the transformation is applied once, at the
 	// first switch the packet traverses.
 	Tagged bool
+	// Observers is a bit set of the observers (flight recorder, watchdog)
+	// whose flow sample this packet is in, decided once, where the packet
+	// is created; the bits belong to the stamping layer (internal/netsim).
+	Observers uint8
 	// Epoch is the policy generation the packet was transformed under
 	// when the sim runs with an epoch store (zero otherwise). The packet
 	// stays pinned to this generation until delivered or dropped.
@@ -82,8 +86,8 @@ type Packet struct {
 	// SentAt is when the transport first emitted the packet.
 	SentAt sim.Time
 	// EnqueuedAt is when the packet entered its current scheduler queue;
-	// set by instrumented schedulers (internal/sched.Metrics) to measure
-	// per-packet sojourn time.
+	// stamped by whoever drives the queue (the simulator's port), never by
+	// the scheduler, so sojourn time is measured without asking it.
 	EnqueuedAt sim.Time
 	// Deadline is the absolute deadline for deadline-constrained traffic.
 	Deadline sim.Time

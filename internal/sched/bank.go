@@ -4,11 +4,11 @@ import "qvisor/internal/pkt"
 
 // bank is the one queue bank under the FIFO family — FIFO, AIFO, MQ,
 // SP-PIFO, Admission and Calendar: n FIFO rings with per-queue and total
-// byte accounting, an O(1) packet count, the Stats counters and their
-// metrics mirror. A discipline embeds a bank and adds only its placement
-// rule: its Enqueue picks a queue (or refuses the packet), and dequeueing
-// serves the first backlogged queue at or after an index — index 0 for
-// strict priority, the rotation cursor for the calendar.
+// byte accounting, an O(1) packet count and the Stats counters. A
+// discipline embeds a bank and adds only its placement rule: its Enqueue
+// picks a queue (or refuses the packet), and dequeueing serves the first
+// backlogged queue at or after an index — index 0 for strict priority, the
+// rotation cursor for the calendar.
 type bank struct {
 	cfg    Config
 	queues []pkt.Ring
@@ -37,9 +37,6 @@ func (b *bank) QueueLen(i int) int { return b.queues[i].Len() }
 // Stats returns a snapshot of the scheduler's counters.
 func (b *bank) Stats() Stats { return b.stats }
 
-// SetMetrics implements MetricsSetter.
-func (b *bank) SetMetrics(m *Metrics) { b.cfg.Metrics = m }
-
 // fits reports whether p fits under the bank's total byte capacity.
 func (b *bank) fits(p *pkt.Packet) bool { return b.bytes+p.Size <= b.cfg.capacity() }
 
@@ -47,7 +44,6 @@ func (b *bank) fits(p *pkt.Packet) bool { return b.bytes+p.Size <= b.cfg.capacit
 // it returns false so an Enqueue can return the refusal directly.
 func (b *bank) refuse(p *pkt.Packet, cause DropCause) bool {
 	b.stats.Dropped++
-	b.cfg.Metrics.onDrop()
 	b.cfg.drop(p, cause)
 	return false
 }
@@ -59,7 +55,6 @@ func (b *bank) put(i int, p *pkt.Packet) bool {
 	b.bytes += p.Size
 	b.count++
 	b.stats.Enqueued++
-	b.cfg.Metrics.onEnqueue(p, b.count, b.bytes)
 	return true
 }
 
@@ -81,7 +76,6 @@ func (b *bank) popFrom(start int) (p *pkt.Packet, i int) {
 	b.bytes -= p.Size
 	b.count--
 	b.stats.Dequeued++
-	b.cfg.Metrics.onDequeue(p, b.count, b.bytes)
 	return p, i
 }
 

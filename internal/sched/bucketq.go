@@ -88,9 +88,6 @@ func (q *BucketQ) Bytes() int { return q.bytes }
 // Stats returns a snapshot of the scheduler's counters.
 func (q *BucketQ) Stats() Stats { return q.stats }
 
-// SetMetrics implements MetricsSetter.
-func (q *BucketQ) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
-
 // Buckets returns the ring size; Width the rank units per bucket;
 // OverflowLen the packets waiting beyond the horizon. Tests use these to
 // cross-check the bitmap index and overflow bookkeeping.
@@ -103,7 +100,6 @@ func (q *BucketQ) BaseRank() int64  { return q.base }
 func (q *BucketQ) Enqueue(p *pkt.Packet) bool {
 	if q.bytes+p.Size > q.cfg.capacity() {
 		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
 		q.cfg.drop(p, CauseOverflow)
 		return false
 	}
@@ -111,7 +107,6 @@ func (q *BucketQ) Enqueue(p *pkt.Packet) bool {
 	q.count++
 	q.bytes += p.Size
 	q.stats.Enqueued++
-	q.cfg.Metrics.onEnqueue(p, q.count, q.bytes)
 	return true
 }
 
@@ -200,7 +195,6 @@ func (q *BucketQ) Dequeue() *pkt.Packet {
 	q.count--
 	q.bytes -= p.Size
 	q.stats.Dequeued++
-	q.cfg.Metrics.onDequeue(p, q.count, q.bytes)
 	return p
 }
 

@@ -80,14 +80,10 @@ func (d *DRR) Bytes() int { return d.bytes }
 // Stats returns a snapshot of the counters.
 func (d *DRR) Stats() Stats { return d.stats }
 
-// SetMetrics implements MetricsSetter.
-func (d *DRR) SetMetrics(m *Metrics) { d.cfg.Metrics = m }
-
 // Enqueue implements Scheduler.
 func (d *DRR) Enqueue(p *pkt.Packet) bool {
 	if d.bytes+p.Size > d.cfg.capacity() {
 		d.stats.Dropped++
-		d.cfg.Metrics.onDrop()
 		d.cfg.drop(p, CauseOverflow)
 		return false
 	}
@@ -114,7 +110,6 @@ func (d *DRR) Enqueue(p *pkt.Packet) bool {
 		d.active = append(d.active, q)
 	}
 	d.stats.Enqueued++
-	d.cfg.Metrics.onEnqueue(p, d.count, d.bytes)
 	return true
 }
 
@@ -152,7 +147,6 @@ func (d *DRR) Dequeue() *pkt.Packet {
 		d.bytes -= p.Size
 		d.count--
 		d.stats.Dequeued++
-		d.cfg.Metrics.onDequeue(p, d.count, d.bytes)
 		if q.q.Len() == 0 {
 			// Empty queues forfeit their deficit (standard DRR).
 			d.unlink(q)

@@ -59,7 +59,6 @@ func (q *MQ) Dequeue() *pkt.Packet {
 		for j := 0; j < r.Len(); j++ {
 			if r.At(j).Rank < p.Rank {
 				q.stats.Inversion++
-				q.cfg.Metrics.onInversion()
 				return p
 			}
 		}

@@ -120,9 +120,6 @@ func (q *PIFO) Bytes() int { return q.bytes }
 // Stats returns a snapshot of the scheduler's counters.
 func (q *PIFO) Stats() Stats { return q.stats }
 
-// SetMetrics implements MetricsSetter.
-func (q *PIFO) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
-
 // Enqueue implements Scheduler.
 func (q *PIFO) Enqueue(p *pkt.Packet) bool {
 	cap := q.cfg.capacity()
@@ -133,7 +130,6 @@ func (q *PIFO) Enqueue(p *pkt.Packet) bool {
 		wi := q.worstIndex()
 		if wi < 0 || q.h[wi].p.Rank <= p.Rank {
 			q.stats.Dropped++
-			q.cfg.Metrics.onDrop()
 			q.cfg.drop(p, CauseOverflow)
 			return false
 		}
@@ -141,14 +137,12 @@ func (q *PIFO) Enqueue(p *pkt.Packet) bool {
 		q.h.remove(wi)
 		q.bytes -= ev.Size
 		q.stats.Evicted++
-		q.cfg.Metrics.onEvict()
 		q.cfg.drop(ev, CauseEvicted)
 	}
 	q.h.push(pifoEntry{p: p, seq: q.seq})
 	q.seq++
 	q.bytes += p.Size
 	q.stats.Enqueued++
-	q.cfg.Metrics.onEnqueue(p, len(q.h), q.bytes)
 	return true
 }
 
@@ -178,7 +172,6 @@ func (q *PIFO) Dequeue() *pkt.Packet {
 	e := q.h.pop()
 	q.bytes -= e.p.Size
 	q.stats.Dequeued++
-	q.cfg.Metrics.onDequeue(e.p, len(q.h), q.bytes)
 	return e.p
 }
 

@@ -3,7 +3,8 @@ package sched
 // The parent commit's ring, AIFO and Calendar, kept as test-only references
 // after the queue-bank collapse: the code below is verbatim apart from the
 // ref prefix on type and constructor names (comments still use the old
-// ones). TestBankMatchesReference drives it against the bank-backed
+// ones) and the calls into the metrics mirror, which no scheduler has any
+// more. TestBankMatchesReference drives it against the bank-backed
 // disciplines event for event.
 
 import (
@@ -115,9 +116,6 @@ func (q *refAIFO) Bytes() int { return q.bytes }
 // Stats returns a snapshot of the scheduler's counters.
 func (q *refAIFO) Stats() Stats { return q.stats }
 
-// SetMetrics implements MetricsSetter.
-func (q *refAIFO) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
-
 // Enqueue implements Scheduler with quantile-based admission. A refusal
 // for lack of buffer space reports CauseOverflow; a refusal decided by
 // the quantile rule — the packet would have fit, but its rank is too poor
@@ -140,14 +138,12 @@ func (q *refAIFO) Enqueue(p *pkt.Packet) bool {
 	q.observe(p.Rank)
 	if !admit {
 		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
 		q.cfg.drop(p, cause)
 		return false
 	}
 	q.q.push(p)
 	q.bytes += p.Size
 	q.stats.Enqueued++
-	q.cfg.Metrics.onEnqueue(p, q.q.n, q.bytes)
 	return true
 }
 
@@ -193,7 +189,6 @@ func (q *refAIFO) Dequeue() *pkt.Packet {
 	}
 	q.bytes -= p.Size
 	q.stats.Dequeued++
-	q.cfg.Metrics.onDequeue(p, q.q.n, q.bytes)
 	return p
 }
 
@@ -251,14 +246,10 @@ func (q *refCalendar) Bytes() int { return q.bytes }
 // Stats returns a snapshot of the scheduler's counters.
 func (q *refCalendar) Stats() Stats { return q.stats }
 
-// SetMetrics implements MetricsSetter.
-func (q *refCalendar) SetMetrics(m *Metrics) { q.cfg.Metrics = m }
-
 // Enqueue implements Scheduler.
 func (q *refCalendar) Enqueue(p *pkt.Packet) bool {
 	if q.bytes+p.Size > q.cfg.capacity() {
 		q.stats.Dropped++
-		q.cfg.Metrics.onDrop()
 		q.cfg.drop(p, CauseOverflow)
 		return false
 	}
@@ -274,9 +265,6 @@ func (q *refCalendar) Enqueue(p *pkt.Packet) bool {
 	q.bbytes[i] += p.Size
 	q.bytes += p.Size
 	q.stats.Enqueued++
-	if m := q.cfg.Metrics; m != nil { // guard: Len is O(buckets)
-		m.onEnqueue(p, q.Len(), q.bytes)
-	}
 	return true
 }
 
@@ -293,9 +281,6 @@ func (q *refCalendar) Dequeue() *pkt.Packet {
 	q.bbytes[q.cur] -= p.Size
 	q.bytes -= p.Size
 	q.stats.Dequeued++
-	if m := q.cfg.Metrics; m != nil { // guard: Len is O(buckets)
-		m.onDequeue(p, q.Len(), q.bytes)
-	}
 	return p
 }
 

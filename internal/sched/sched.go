@@ -10,12 +10,12 @@
 //
 // The FIFO family is one structure and six placement rules. The unexported
 // bank (bank.go) is n pkt.Ring queues with byte and packet accounting,
-// counters, the metrics mirror, and a pop of the first backlogged queue at
-// or after an index; FIFO, MQ, SP-PIFO, Admission and Calendar embed it and
-// keep only what their rule owns — a mapper, adaptive bounds, a rank window,
-// a rotation cursor — and AIFO is Admission over a bank of one queue. PIFO
-// (a heap), BucketQ (bitmap-indexed chains with an overflow FIFO) and DRR
-// (per-key rings with deficits) are different structures and stay apart.
+// counters, and a pop of the first backlogged queue at or after an index;
+// FIFO, MQ, SP-PIFO, Admission and Calendar embed it and keep only what
+// their rule owns — a mapper, adaptive bounds, a rank window, a rotation
+// cursor — and AIFO is Admission over a bank of one queue. PIFO (a heap),
+// BucketQ (bitmap-indexed chains with an overflow FIFO) and DRR (per-key
+// rings with deficits) are different structures and stay apart.
 // Calendar is deliberately not a BucketQ configuration: the two agree event
 // for event inside the rank horizon, but beyond it the calendar clamps to
 // its last bucket while the bucket queue parks and re-files packets, and
@@ -169,10 +169,6 @@ type Config struct {
 	// OnDrop, if non-nil, is invoked for every dropped or evicted packet
 	// with the cause of the drop (see DropFn's cause contract).
 	OnDrop DropFn
-	// Metrics, if non-nil, mirrors the scheduler's counters into an
-	// observability registry (see NewMetrics). Nil — the default — keeps
-	// the hot path free of atomic operations.
-	Metrics *Metrics
 }
 
 // DefaultCapacityBytes is the per-port buffer used when Config.CapacityBytes

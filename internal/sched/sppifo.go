@@ -54,7 +54,6 @@ func (q *SPPIFO) Enqueue(p *pkt.Packet) bool {
 	// top and push all bounds down by the inversion magnitude.
 	cost := q.bounds[0] - p.Rank
 	q.stats.Inversion++
-	q.cfg.Metrics.onInversion()
 	for i := range q.bounds {
 		q.bounds[i] -= cost
 	}

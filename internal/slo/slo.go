@@ -7,9 +7,9 @@
 // that is checked by qvisor-conform batch sweeps; online, this package
 // checks it continuously on a sampled mirror of live traffic:
 //
-//   - Shadow-oracle sampling. A flow-consistent 1-in-N sample (the same
-//     flow % N == 0 predicate the flight recorder uses, so trace and SLO
-//     always observe the same packets) feeds a bounded conform.RefPIFO
+//   - Shadow-oracle sampling. A flow-consistent 1-in-N sample (Samples:
+//     flow % N == 0, the flight recorder's rule, so at equal rates trace
+//     and SLO observe the same packets) feeds a bounded conform.RefPIFO
 //     shadow per port. On every sampled dequeue the watchdog compares the
 //     backend's choice against the shadow's ideal head: a strictly lower
 //     shadow rank is a scheduling inversion, and the rank delta feeds a
@@ -25,8 +25,9 @@
 //
 // Hot-path contract: the unsampled path is one nil check and one modulo —
 // zero allocations (pinned by TestAllocBudgetSimSteadyStateWatchdog in
-// internal/netsim). Sampled work happens under one mutex per watchdog so
-// /v1/slo snapshots can read concurrently with a live simulation.
+// internal/netsim, which asks Samples once per packet and calls no hook).
+// Sampled work happens under one mutex per watchdog so /v1/slo snapshots
+// can read concurrently with a live simulation.
 //
 // Sharding: like trace rings and pre-processor stats, the watchdog forks
 // one child per shard (Shard) and merges them after the run (Absorb). All
@@ -120,8 +121,6 @@ type Config struct {
 	// share (fraction of delivered bytes) for the achieved-vs-entitled
 	// SLI.
 	Entitlements map[pkt.TenantID]float64
-	// Shard stamps which shard a child watchdog observes (set by Shard).
-	Shard int
 }
 
 func (c Config) withDefaults() Config {
@@ -266,14 +265,14 @@ func (w *Watchdog) Config() Config {
 // Shard forks a child watchdog for shard i, sharing the parent's
 // configuration. Children observe their shard's events during a run and
 // are merged back with Absorb afterwards — the same fork/merge lifecycle
-// as per-shard trace recorders. A nil parent yields a nil child.
+// as trace.Recorder's Shard and Absorb. No watchdog state depends on which
+// shard it watched (which is why Absorb commutes), so i only completes the
+// contract. A nil parent yields a nil child.
 func (w *Watchdog) Shard(i int) *Watchdog {
 	if w == nil {
 		return nil
 	}
-	cfg := w.cfg
-	cfg.Shard = i
-	return New(cfg)
+	return New(w.cfg)
 }
 
 // Absorb merges a quiescent child watchdog into w: cumulative counters
@@ -336,14 +335,13 @@ func (w *Watchdog) Absorb(child *Watchdog) {
 	}
 }
 
-// sampled reports whether p is in the flow-consistent mirror sample —
-// the same predicate trace.Recorder applies, so the flight recorder and
-// the watchdog always agree on which packets they observed.
-func (w *Watchdog) sampled(p *pkt.Packet) bool {
-	if s := w.cfg.SampleN; s > 1 && p.Flow%s != 0 {
-		return false
-	}
-	return true
+// Samples reports whether p's flow is in the flow-consistent mirror
+// sample: the one decision the watchdog makes about a packet, the same at
+// every hook of its life. The simulator asks once per packet; the hooks ask
+// for themselves, so a packet nobody stamped is judged all the same. A nil
+// watchdog samples nothing.
+func (w *Watchdog) Samples(p *pkt.Packet) bool {
+	return w != nil && (w.cfg.SampleN <= 1 || p.Flow%w.cfg.SampleN == 0)
 }
 
 // slotFor returns the live window slot for absolute index idx, claiming
@@ -409,7 +407,7 @@ func (w *Watchdog) putCopy(cp *pkt.Packet) {
 // OnDeliver records a sampled end-to-end delivery (per-tenant achieved
 // throughput). Called by the simulator when a host consumes a packet.
 func (w *Watchdog) OnDeliver(now sim.Time, p *pkt.Packet) {
-	if w == nil || !w.sampled(p) {
+	if !w.Samples(p) {
 		return
 	}
 	w.mu.Lock()
@@ -426,7 +424,7 @@ func (w *Watchdog) OnDeliver(now sim.Time, p *pkt.Packet) {
 // (host-side admission control, for example), where no shadow queue
 // exists to judge divergence: it books the tenant drop only.
 func (w *Watchdog) OnDrop(now sim.Time, p *pkt.Packet, cause sched.DropCause) {
-	if w == nil || !w.sampled(p) {
+	if !w.Samples(p) {
 		return
 	}
 	w.mu.Lock()
@@ -493,10 +491,10 @@ func (w *Watchdog) ShadowPackets() int {
 
 // OnEnqueue mirrors a successfully enqueued packet into the shadow. Must
 // be called only after the real scheduler accepted the packet. It also
-// stamps p.EnqueuedAt (the same value instrumented schedulers write) so
-// OnDequeue can measure sojourn without a lookup table.
+// stamps p.EnqueuedAt (as the simulator's port does; direct callers have
+// none) so OnDequeue can measure sojourn without a lookup table.
 func (pw *PortWatch) OnEnqueue(now sim.Time, p *pkt.Packet) {
-	if pw == nil || !pw.w.sampled(p) {
+	if pw == nil || !pw.w.Samples(p) {
 		return
 	}
 	w := pw.w
@@ -517,7 +515,7 @@ func (pw *PortWatch) OnEnqueue(now sim.Time, p *pkt.Packet) {
 // (dequeued rank minus ideal rank) feeds the displacement histogram. It
 // also books the per-tenant queueing delay.
 func (pw *PortWatch) OnDequeue(now sim.Time, p *pkt.Packet) {
-	if pw == nil || !pw.w.sampled(p) {
+	if pw == nil || !pw.w.Samples(p) {
 		return
 	}
 	w := pw.w
@@ -560,7 +558,7 @@ func (pw *PortWatch) OnDequeue(now sim.Time, p *pkt.Packet) {
 // worst-ranked packet, so dropping p while a strictly worse packet stays
 // queued is divergence. The shadow copy of p, if queued, retires.
 func (pw *PortWatch) OnDrop(now sim.Time, p *pkt.Packet, cause sched.DropCause) {
-	if pw == nil || !pw.w.sampled(p) {
+	if pw == nil || !pw.w.Samples(p) {
 		return
 	}
 	w := pw.w

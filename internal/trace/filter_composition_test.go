@@ -8,14 +8,13 @@ import (
 )
 
 // TestRecordFilterComposition pins the record-time filter semantics when
-// all three filters run together: an event is recorded iff it passes the
-// flow sample AND the tenant list AND the kind list. One filter must
-// never mask another's decision, and the flow sample must stay
-// flow-consistent (all-or-nothing per flow) within the composition.
+// both filters run together: an event is recorded iff it passes the flow
+// sample AND the kind list, whatever its tenant. One filter must never
+// mask the other's decision, and the flow sample must stay flow-consistent
+// (all-or-nothing per flow) within the composition.
 func TestRecordFilterComposition(t *testing.T) {
 	rec := NewFlightRecorder(Options{
 		FlowSample: 2,
-		Tenants:    []pkt.TenantID{1},
 		Kinds:      []string{KindEnqueue, KindDrop},
 	})
 	type stim struct {
@@ -35,7 +34,7 @@ func TestRecordFilterComposition(t *testing.T) {
 				} else {
 					rec.Record(10, kind, "port", p)
 				}
-				if flow%2 == 0 && tenant == 1 && kind != KindDequeue {
+				if flow%2 == 0 && kind != KindDequeue {
 					want = append(want, stim{flow, tenant, kind})
 				}
 			}
@@ -43,7 +42,7 @@ func TestRecordFilterComposition(t *testing.T) {
 	}
 	events, _ := rec.Snapshot(AllEvents)
 	if len(events) != len(want) {
-		t.Fatalf("recorded %d events, want %d (sample∩tenant∩kind)", len(events), len(want))
+		t.Fatalf("recorded %d events, want %d (sample∩kind)", len(events), len(want))
 	}
 	for i, e := range events {
 		w := want[i]
@@ -59,8 +58,8 @@ func TestRecordFilterComposition(t *testing.T) {
 		perFlow[e.Flow]++
 	}
 	for flow, n := range perFlow {
-		if n != 2 { // enqueue + drop for tenant 1
-			t.Errorf("flow %d kept %d events, want 2 — sampling not flow-consistent", flow, n)
+		if n != 4 { // enqueue + drop for each of the two tenants
+			t.Errorf("flow %d kept %d events, want 4 — sampling not flow-consistent", flow, n)
 		}
 	}
 }
@@ -71,7 +70,6 @@ func TestRecordFilterComposition(t *testing.T) {
 func TestRecordFilterCompositionTransform(t *testing.T) {
 	rec := NewFlightRecorder(Options{
 		FlowSample: 4,
-		Tenants:    []pkt.TenantID{7},
 		Kinds:      []string{KindTransform},
 	})
 	cases := []struct {
@@ -79,11 +77,11 @@ func TestRecordFilterCompositionTransform(t *testing.T) {
 		tenant pkt.TenantID
 		keep   bool
 	}{
-		{0, 7, true},  // sampled flow, listed tenant
-		{4, 7, true},  // sampled flow, listed tenant
+		{0, 7, true},  // sampled flow
+		{4, 7, true},  // sampled flow
 		{1, 7, false}, // unsampled flow
-		{0, 8, false}, // unlisted tenant
-		{3, 9, false}, // neither
+		{0, 8, true},  // sampled flow, another tenant
+		{3, 9, false}, // unsampled flow, another tenant
 	}
 	for i, c := range cases {
 		p := &pkt.Packet{ID: uint64(i + 1), Flow: c.flow, Tenant: c.tenant, Rank: 20}
@@ -102,7 +100,7 @@ func TestRecordFilterCompositionTransform(t *testing.T) {
 		t.Fatalf("recorded %d events, want %d", len(events), kept)
 	}
 	for _, e := range events {
-		if e.Kind != KindTransform || pkt.TenantID(e.Tenant) != 7 || e.Flow%4 != 0 {
+		if e.Kind != KindTransform || e.Flow%4 != 0 {
 			t.Errorf("event leaked through composed filters: %+v", e)
 		}
 		if e.PreRank != 40 {
@@ -117,30 +115,19 @@ func TestRecordFilterCompositionTransform(t *testing.T) {
 func TestRecordFilterCompositionAgainstModel(t *testing.T) {
 	configs := []Options{
 		{FlowSample: 3},
-		{Tenants: []pkt.TenantID{2, 5}},
+		{FlowSample: 1}, // like zero: every flow
 		{Kinds: []string{KindDequeue}},
-		{FlowSample: 3, Tenants: []pkt.TenantID{2, 5}},
+		{FlowSample: 3, Kinds: []string{KindEnqueue}},
 		{FlowSample: 5, Kinds: []string{KindEnqueue, KindDeliver}},
-		{FlowSample: 2, Tenants: []pkt.TenantID{2}, Kinds: []string{KindDrop}},
+		{FlowSample: 2, Kinds: []string{KindDrop}},
 	}
 	kinds := []string{KindEnqueue, KindDequeue, KindDeliver, KindDrop}
 	for ci, opts := range configs {
 		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
 			rec := NewFlightRecorder(opts)
-			oracle := func(flow uint64, tenant pkt.TenantID, kind string) bool {
+			oracle := func(flow uint64, kind string) bool {
 				if s := opts.FlowSample; s > 1 && flow%s != 0 {
 					return false
-				}
-				if opts.Tenants != nil {
-					ok := false
-					for _, want := range opts.Tenants {
-						if tenant == want {
-							ok = true
-						}
-					}
-					if !ok {
-						return false
-					}
 				}
 				if opts.Kinds != nil {
 					ok := false
@@ -172,7 +159,7 @@ func TestRecordFilterCompositionAgainstModel(t *testing.T) {
 				} else {
 					rec.Record(1, kind, "x", p)
 				}
-				if oracle(flow, tenant, kind) {
+				if oracle(flow, kind) {
 					want++
 				}
 			}

@@ -70,15 +70,6 @@ func TestRecordDropAndTransformFields(t *testing.T) {
 	}
 }
 
-func TestTenantOptionFilter(t *testing.T) {
-	r := NewFlightRecorder(Options{Tenants: []pkt.TenantID{2}, RingSize: 8})
-	r.Record(1, KindEmit, "", &pkt.Packet{Tenant: 1})
-	r.Record(2, KindEmit, "", &pkt.Packet{Tenant: 2})
-	if n := r.Count(); n != 1 {
-		t.Fatalf("recorded %d events, want tenant-2 only", n)
-	}
-}
-
 func TestStreamRecorderKeepsRingToo(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(&buf, Options{RingSize: 8})

@@ -2,11 +2,12 @@
 // per-packet events across the whole pipeline — host emit → port queue →
 // switch arrival → rank transform → scheduler enqueue/dequeue → deliver
 // or drop — into a fixed-size ring buffer and/or a JSON-lines stream,
-// with flow-consistent sampling and per-tenant filters.
+// with flow-consistent sampling and a per-kind filter.
 //
 // The recorder is designed for an always-on deployment: when a packet's
 // flow is not sampled, Record costs one modulo and returns without
-// allocating, so the data plane's zero-allocation budget holds with a
+// allocating (the simulator asks Samples once per packet and does not even
+// call it), so the data plane's zero-allocation budget holds with a
 // recorder attached. Ring recording is also allocation-free (events are
 // value copies into a preallocated ring); only the optional JSONL stream
 // pays encoding costs.
@@ -14,9 +15,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"qvisor/internal/pkt"
@@ -87,17 +90,11 @@ type Options struct {
 	FlowSample uint64
 	// Kinds restricts recording to the listed event kinds (nil = all).
 	Kinds []string
-	// Tenants restricts recording to the listed tenants (nil = all).
-	Tenants []pkt.TenantID
 	// RingSize is the capacity of the in-memory event ring. Recording
 	// wraps, keeping the most recent RingSize events. Zero disables the
 	// ring for stream recorders and means DefaultRingSize for
 	// NewFlightRecorder.
 	RingSize int
-	// Shard is stamped on every event this recorder commits — the sharded
-	// simulator gives each shard a private recorder (same filters, its
-	// own Shard) and merges the rings into the parent after the run.
-	Shard int
 }
 
 // DefaultRingSize is the flight-recorder ring capacity when Options
@@ -109,9 +106,11 @@ const DefaultRingSize = 1 << 16
 // use from a single simulation goroutine plus concurrent Snapshot
 // readers (the control-plane trace endpoint).
 type Recorder struct {
-	opts    Options
-	kinds   map[string]bool
-	tenants map[pkt.TenantID]bool
+	opts Options
+	// On the children Shard forks: shard is stamped on every event, and
+	// log makes the ring an append-only log that keeps every event.
+	shard int
+	log   bool
 
 	mu   sync.Mutex
 	enc  *json.Encoder
@@ -138,31 +137,49 @@ func NewFlightRecorder(opts Options) *Recorder {
 
 func newRecorder(opts Options) *Recorder {
 	r := &Recorder{opts: opts}
-	if opts.Kinds != nil {
-		r.kinds = make(map[string]bool, len(opts.Kinds))
-		for _, k := range opts.Kinds {
-			r.kinds[k] = true
-		}
-	}
-	if opts.Tenants != nil {
-		r.tenants = make(map[pkt.TenantID]bool, len(opts.Tenants))
-		for _, t := range opts.Tenants {
-			r.tenants[t] = true
-		}
-	}
 	if opts.RingSize > 0 {
 		r.ring = make([]Event, opts.RingSize)
 	}
 	return r
 }
 
-// Options returns the recorder's configuration — the sharded simulator
-// reads it to build per-shard recorders with matching filters.
-func (r *Recorder) Options() Options {
+// Shard forks the recorder that shard i of a sharded run records into: the
+// parent's filters, i stamped on every event, and the parent's memory — a
+// ring of its size when the parent is a flight ring, a log of everything
+// when it streams (a stream keeps every event; a child that forgot some
+// would silently truncate it). Absorb merges the children back after the
+// run, the lifecycle of slo.Watchdog's Shard and Absorb. Nil forks nil.
+func (r *Recorder) Shard(i int) *Recorder {
 	if r == nil {
-		return Options{}
+		return nil
 	}
-	return r.opts
+	c := &Recorder{opts: r.opts, shard: i, log: r.enc != nil}
+	if !c.log {
+		c.ring = make([]Event, len(r.ring))
+	}
+	return c
+}
+
+// Absorb commits the events of quiescent children to r, merged by (time,
+// shard) with a stable sort, so one shard's same-nanosecond events keep
+// their order. The children applied r's filters; events pass verbatim.
+func (r *Recorder) Absorb(children ...*Recorder) {
+	if r == nil {
+		return
+	}
+	var events []Event
+	for _, c := range children {
+		evs, _ := c.Snapshot(AllEvents)
+		events = append(events, evs...)
+	}
+	slices.SortStableFunc(events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.TimeNs, b.TimeNs), cmp.Compare(a.Shard, b.Shard))
+	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, e := range events {
+		r.put(e)
+	}
 }
 
 // Count returns the number of events recorded (not the number still in
@@ -176,58 +193,39 @@ func (r *Recorder) Count() uint64 {
 	return r.seq
 }
 
-// sampled reports whether p's events pass the flow and tenant filters.
-func (r *Recorder) sampled(p *pkt.Packet) bool {
-	if s := r.opts.FlowSample; s > 1 && p.Flow%s != 0 {
-		return false
-	}
-	if r.tenants != nil && !r.tenants[p.Tenant] {
-		return false
-	}
-	return true
+// Samples reports whether p's flow is in the recorder's flow sample: the
+// whole record-side decision about a packet, the same for every event of
+// its life (the simulator asks once). A nil recorder samples nothing.
+func (r *Recorder) Samples(p *pkt.Packet) bool {
+	return r != nil && (r.opts.FlowSample <= 1 || p.Flow%r.opts.FlowSample == 0)
 }
 
 // Record writes one event if it passes the filters.
 func (r *Recorder) Record(now sim.Time, kind, where string, p *pkt.Packet) {
-	if r == nil || !r.sampled(p) {
-		return
-	}
-	if r.kinds != nil && !r.kinds[kind] {
-		return
-	}
-	r.commit(eventOf(now, kind, where, p))
+	r.record(now, kind, where, p, "", 0)
 }
 
 // RecordDrop writes a drop event carrying its cause (a sched.DropCause
 // name, or "fault" for network-level losses).
 func (r *Recorder) RecordDrop(now sim.Time, where string, p *pkt.Packet, cause string) {
-	if r == nil || !r.sampled(p) {
-		return
-	}
-	if r.kinds != nil && !r.kinds[KindDrop] {
-		return
-	}
-	e := eventOf(now, KindDrop, where, p)
-	e.Cause = cause
-	r.commit(e)
+	r.record(now, KindDrop, where, p, cause, 0)
 }
 
 // RecordTransform writes a transform event: preRank is the rank before
 // the pre-processor ran; p.Rank is the rewritten rank.
 func (r *Recorder) RecordTransform(now sim.Time, where string, p *pkt.Packet, preRank int64) {
-	if r == nil || !r.sampled(p) {
-		return
-	}
-	if r.kinds != nil && !r.kinds[KindTransform] {
-		return
-	}
-	e := eventOf(now, KindTransform, where, p)
-	e.PreRank = preRank
-	r.commit(e)
+	r.record(now, KindTransform, where, p, "", preRank)
 }
 
-func eventOf(now sim.Time, kind, where string, p *pkt.Packet) Event {
-	return Event{
+// record is the one body under the three Record signatures. It filters
+// for itself, so a packet nobody stamped is recorded all the same.
+func (r *Recorder) record(now sim.Time, kind, where string, p *pkt.Packet, cause string, preRank int64) {
+	if !r.Samples(p) || (r.opts.Kinds != nil && !slices.Contains(r.opts.Kinds, kind)) {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.put(Event{
 		TimeNs:  int64(now),
 		Kind:    kind,
 		Where:   where,
@@ -240,40 +238,25 @@ func eventOf(now sim.Time, kind, where string, p *pkt.Packet) Event {
 		Dst:     p.Dst,
 		PktKind: p.Kind.String(),
 		Retx:    p.Retx,
+		Cause:   cause,
+		PreRank: preRank,
 		Epoch:   p.Epoch,
-	}
+		Shard:   r.shard,
+	})
 }
 
-func (r *Recorder) commit(e Event) {
-	e.Shard = r.opts.Shard
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.put(e)
-}
-
+// put commits e. Callers hold mu.
 func (r *Recorder) put(e Event) {
-	if r.ring != nil {
+	switch {
+	case r.log:
+		r.ring = append(r.ring, e)
+	case r.ring != nil:
 		r.ring[r.seq%uint64(len(r.ring))] = e
 	}
 	if r.enc != nil {
 		_ = r.enc.Encode(e)
 	}
 	r.seq++
-}
-
-// Append commits pre-built events verbatim: no filtering, and the events
-// keep the Shard they already carry. The sharded simulator uses it to
-// merge per-shard rings (sorted by time, then shard) into the parent
-// recorder after a run.
-func (r *Recorder) Append(events []Event) {
-	if r == nil || len(events) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range events {
-		r.put(e)
-	}
 }
 
 // Filter selects events from a ring snapshot.
@@ -316,7 +299,7 @@ func (r *Recorder) Snapshot(f Filter) (events []Event, seq uint64) {
 		if f.Tenant >= 0 && int(e.Tenant) != f.Tenant {
 			continue
 		}
-		if f.Kinds != nil && !containsKind(f.Kinds, e.Kind) {
+		if f.Kinds != nil && !slices.Contains(f.Kinds, e.Kind) {
 			continue
 		}
 		events = append(events, e)
@@ -325,15 +308,6 @@ func (r *Recorder) Snapshot(f Filter) (events []Event, seq uint64) {
 		events = events[len(events)-f.Limit:]
 	}
 	return events, r.seq
-}
-
-func containsKind(kinds []string, k string) bool {
-	for _, v := range kinds {
-		if v == k {
-			return true
-		}
-	}
-	return false
 }
 
 // ReadEvents parses a JSON-lines trace into memory. Malformed lines are
