@@ -203,14 +203,14 @@ func (e *refEngine) Reset() {
 
 // --- differential harness ---
 
-// Offsets around one wheel span: 8 192 slots of 16 ns.
+// Offsets around one wheel span.
 const (
-	opSlot Time = 16
-	opSpan Time = 8192 * opSlot
+	opSlot Time = 1 << slotShift
+	opSpan Time = wheelSlots * opSlot
 )
 
 // opEngine is the surface both engines share; the handles they return
-// are boxed so one driver serves both.
+// are boxed so one runner serves both.
 type opEngine interface {
 	Now() Time
 	Fired() uint64
@@ -247,7 +247,7 @@ func (s refSide) schedule(at Time, after bool, fn Event) opHandle {
 }
 
 // opEvent is what a scheduled callback does when it fires. Every field is
-// decoded once from the op stream and handed to both drivers, so two
+// decoded once from the op stream and handed to both runners, so two
 // engines that fire in the same order run the same callbacks.
 type opEvent struct {
 	child  Time // offset of a child event scheduled on firing; <0 none
@@ -261,8 +261,8 @@ type firing struct {
 	id int
 }
 
-// opDriver runs one engine through the op stream and records what fired.
-type opDriver struct {
+// opRunner runs one engine through the op stream and records what fired.
+type opRunner struct {
 	eng    opEngine
 	log    []firing
 	hs     []opHandle
@@ -274,7 +274,7 @@ type opDriver struct {
 // chains terminate.
 const opEventBudget = 4000
 
-func (d *opDriver) schedule(at Time, after bool, ev opEvent) {
+func (d *opRunner) schedule(at Time, after bool, ev opEvent) {
 	if d.nextID >= opEventBudget {
 		return
 	}
@@ -318,7 +318,7 @@ func (s *opStream) done() bool { return s.i >= len(s.b) }
 // offset draws a distance ahead of now from the op alphabet: zero, the
 // time of a pending event, <1 µs, 1–10 µs, 10–100 µs, one wheel span
 // −1/±0/+1 slot (on and off a slot boundary), or milliseconds.
-func (s *opStream) offset(now Time, ref *opDriver) Time {
+func (s *opStream) offset(now Time, ref *opRunner) Time {
 	switch s.byte() % 9 {
 	case 0:
 		return 0
@@ -351,7 +351,7 @@ func (s *opStream) offset(now Time, ref *opDriver) Time {
 	}
 }
 
-func (s *opStream) event(now Time, ref *opDriver) opEvent {
+func (s *opStream) event(now Time, ref *opRunner) opEvent {
 	ev := opEvent{child: -1, cancel: -1}
 	flags := s.byte()
 	if flags&1 != 0 {
@@ -370,9 +370,9 @@ func (s *opStream) event(now Time, ref *opDriver) opEvent {
 // Now/Fired/Pending/NextAt.
 func runOps(t testing.TB, data []byte) {
 	s := &opStream{b: data}
-	got := &opDriver{eng: newSide{New()}}
-	want := &opDriver{eng: refSide{&refEngine{}}}
-	both := []*opDriver{want, got}
+	got := &opRunner{eng: newSide{New()}}
+	want := &opRunner{eng: refSide{&refEngine{}}}
+	both := []*opRunner{want, got}
 	checked := 0
 	for op := 0; !s.done(); op++ {
 		now := want.eng.Now()

@@ -352,19 +352,49 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkEngine(b *testing.B) {
-	e := New()
-	var tick func(Time)
-	n := 0
-	tick = func(Time) {
-		n++
-		if n < b.N {
-			e.After(1, tick)
+// BenchmarkEngineFig4Mix holds the queue at the shape a Figure-4 run
+// gives it: ≈120 pending, 90 of them 100 µs–20 ms ahead (flow starts, RTO
+// timers), and 30 chains that each re-arm 25 % <1 µs, 60 % 1–10 µs and
+// 15 % 10–100 µs ahead (serialization, propagation, CBR ticks).
+func BenchmarkEngineFig4Mix(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	near := make([]Time, 4096)
+	for i := range near {
+		switch r := rng.Float64(); {
+		case r < 0.25:
+			near[i] = Time(rng.Intn(1000))
+		case r < 0.85:
+			near[i] = Microsecond + Time(rng.Intn(int(9*Microsecond)))
+		default:
+			near[i] = 10*Microsecond + Time(rng.Intn(int(90*Microsecond)))
 		}
 	}
+	far := make([]Time, 1024)
+	for i := range far {
+		far[i] = 100*Microsecond + Time(rng.Int63n(int64(20*Millisecond)))
+	}
+	e := New()
+	n := 0
+	rearm := func(offsets []Time) Event {
+		var fn Event
+		fn = func(Time) {
+			if n++; n >= b.N {
+				e.Stop()
+			}
+			e.After(offsets[n%len(offsets)], fn)
+		}
+		return fn
+	}
+	nearFn, farFn := rearm(near), rearm(far)
+	for i := 0; i < 30; i++ {
+		e.After(near[i], nearFn)
+	}
+	for i := 0; i < 90; i++ {
+		e.After(far[i], farFn)
+	}
 	b.ResetTimer()
-	e.At(0, tick)
 	e.Run(MaxTime)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }
 
 // --- free-list / Reset / handle-generation tests (zero-alloc engine) ---
@@ -450,36 +480,48 @@ func TestCancelReleasesCallback(t *testing.T) {
 	}
 }
 
-func TestRecycleAcrossHorizonPushback(t *testing.T) {
-	// An event beyond the horizon is pushed back un-recycled; its handle
-	// must stay valid and cancellable.
-	e := New()
-	var fired bool
-	h := e.At(100, func(Time) { fired = true })
-	e.Run(50)
-	if !h.Pending() {
-		t.Fatal("pushed-back event lost its handle")
-	}
-	if !h.Cancel() {
-		t.Fatal("could not cancel pushed-back event")
-	}
-	e.Run(MaxTime)
-	if fired {
-		t.Fatal("cancelled pushed-back event fired")
+func TestHandleBeyondHorizonStaysCancellable(t *testing.T) {
+	// An event beyond the horizon stays queued across Run calls, in
+	// either tier; its handle must stay valid and cancellable.
+	for _, at := range []Time{100, 10 * Millisecond} {
+		e := New()
+		var fired bool
+		h := e.At(at, func(Time) { fired = true })
+		e.Run(50)
+		e.Run(60)
+		if !h.Pending() {
+			t.Fatalf("event at %v beyond the horizon lost its handle", at)
+		}
+		if !h.Cancel() {
+			t.Fatalf("could not cancel event at %v beyond the horizon", at)
+		}
+		e.Run(MaxTime)
+		if fired {
+			t.Fatalf("cancelled event at %v fired", at)
+		}
 	}
 }
 
-// TestAllocBudgetEngine: a warmed schedule→fire cycle must not allocate.
+// farAhead is far enough ahead of now to land in the far heap.
+const farAhead = 3 * wheelSlots << slotShift
+
+// TestAllocBudgetEngine: a warmed schedule→fire cycle through both tiers
+// must not allocate.
 func TestAllocBudgetEngine(t *testing.T) {
 	e := New()
 	fn := func(Time) {}
 	for i := 0; i < 64; i++ { // warm the free list and heap capacity
 		e.After(Time(i), fn)
+		e.After(farAhead+Time(i), fn)
 	}
 	e.Run(MaxTime)
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.After(10, fn)
 		e.After(5, fn)
+		e.After(farAhead, fn)
+		if e.wheel.n != 2 || len(e.heap) != 1 {
+			t.Fatalf("wheel %d, heap %d: want 2 near and 1 far", e.wheel.n, len(e.heap))
+		}
 		e.Run(MaxTime)
 	})
 	if allocs != 0 {
@@ -487,19 +529,170 @@ func TestAllocBudgetEngine(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetCancel: cancel must be allocation-free too.
+// TestAllocBudgetCancel: cancel must be allocation-free too, in both
+// tiers.
 func TestAllocBudgetCancel(t *testing.T) {
 	e := New()
 	fn := func(Time) {}
 	e.After(1, fn)
+	e.After(farAhead, fn)
 	e.Run(MaxTime)
 	allocs := testing.AllocsPerRun(1000, func() {
 		h := e.After(10, fn)
+		f := e.After(farAhead, fn)
+		if e.wheel.n != 1 || len(e.heap) != 1 {
+			t.Fatalf("wheel %d, heap %d: want 1 near and 1 far", e.wheel.n, len(e.heap))
+		}
 		h.Cancel()
+		f.Cancel()
 		e.Run(MaxTime)
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule/cancel cycle allocates %.1f objects/op, budget is 0", allocs)
+	}
+}
+
+// TestAllocBudgetReset: a sweep trial — Reset, schedule into a populated
+// wheel and the far heap, run part-way — reuses the engine's wheel, heap
+// and items instead of allocating them per trial.
+func TestAllocBudgetReset(t *testing.T) {
+	e := New()
+	fn := func(Time) {}
+	trial := func() {
+		e.Reset()
+		for i := 0; i < 256; i++ {
+			e.At(Time(i*997), fn)
+			if i%8 == 0 {
+				e.At(farAhead+Time(i), fn)
+			}
+		}
+		e.Run(100 * Microsecond)
+	}
+	trial()
+	allocs := testing.AllocsPerRun(100, trial)
+	if allocs != 0 {
+		t.Fatalf("Reset+schedule+Run trial allocates %.1f objects/op, budget is 0", allocs)
+	}
+	if e.wheel.n == 0 || len(e.heap) == 0 {
+		t.Fatalf("trial left wheel %d, heap %d: want both populated", e.wheel.n, len(e.heap))
+	}
+}
+
+// --- wheel boundaries ---
+
+// TestWheelSpanBoundaryAcrossRotations: an event one span minus one slot
+// ahead joins the wheel, one exactly one span ahead joins the heap, and
+// both fire on time while now crosses several full rotations of the
+// wheel.
+func TestWheelSpanBoundaryAcrossRotations(t *testing.T) {
+	const slot = Time(1) << slotShift
+	const span = wheelSlots * slot
+	e := New()
+	var got, want []Time
+	record := func(now Time) { got = append(got, now) }
+	rounds := 0
+	var tick Event
+	tick = func(now Time) {
+		w, h := e.wheel.n, len(e.heap)
+		e.At(now+span-slot, record)
+		if e.wheel.n != w+1 {
+			t.Fatalf("round %d: event one span minus one slot ahead missed the wheel", rounds)
+		}
+		e.At(now+span, record)
+		if len(e.heap) != h+1 {
+			t.Fatalf("round %d: event one span ahead missed the heap", rounds)
+		}
+		want = append(want, now+span-slot, now+span)
+		if rounds++; rounds < 60 {
+			e.After(span/9+Time(rounds), tick) // ≈6.6 rotations, drifting across slot offsets
+		}
+	}
+	e.At(3, tick)
+	e.Run(MaxTime)
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired at %v, want %v", got, want)
+	}
+}
+
+// TestTierTieBreakBySequence: a far-tier and a near-tier event at the same
+// nanosecond fire in push order. In normal use the far one is always the
+// older (a later push at the same time joins the wheel); the forced case
+// pins that the merge compares sequence numbers, not tiers.
+func TestTierTieBreakBySequence(t *testing.T) {
+	const at = farAhead + 5
+	var order []string
+	rec := func(s string) Event { return func(Time) { order = append(order, s) } }
+
+	e := New()
+	e.At(at, rec("far"))
+	e.At(at-100, func(Time) { e.At(at, rec("near")) })
+	e.Run(at - 101)
+	if len(e.heap) != 2 || e.wheel.n != 0 {
+		t.Fatalf("setup: heap %d wheel %d", len(e.heap), e.wheel.n)
+	}
+	e.Step() // fires at-100, which pushes "near" into the wheel
+	if len(e.heap) != 1 || e.wheel.n != 1 {
+		t.Fatalf("after step: heap %d wheel %d, want one in each tier", len(e.heap), e.wheel.n)
+	}
+	e.Run(MaxTime)
+	if want := []string{"far", "near"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("far pushed first: order %v, want %v", order, want)
+	}
+
+	order = nil
+	e = New()
+	e.At(500, rec("near"))
+	e.base -= 2 * wheelSlots // the next push misses the wheel's window
+	e.At(500, rec("far"))
+	e.base += 2 * wheelSlots
+	if len(e.heap) != 1 || e.wheel.n != 1 {
+		t.Fatalf("forced: heap %d wheel %d, want one in each tier", len(e.heap), e.wheel.n)
+	}
+	e.Run(MaxTime)
+	if want := []string{"near", "far"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("near pushed first: order %v, want %v", order, want)
+	}
+}
+
+// TestCancelledSlotHeadSkipped: a cancelled item at the head of a wheel
+// slot is skipped by NextAt, Step and Run, and goes back to the free
+// list.
+func TestCancelledSlotHeadSkipped(t *testing.T) {
+	for _, drive := range []string{"NextAt", "Step", "Run"} {
+		e := New()
+		var fired []Time
+		rec := func(now Time) { fired = append(fired, now) }
+		h := e.At(100, rec) // slot 6
+		e.At(101, rec)      // same slot, behind it
+		if !h.Cancel() {
+			t.Fatal("Cancel failed")
+		}
+		free := len(e.free)
+		switch drive {
+		case "NextAt":
+			if at, ok := e.NextAt(); !ok || at != 101 {
+				t.Fatalf("NextAt = %v,%v want 101,true", at, ok)
+			}
+		case "Step":
+			if !e.Step() {
+				t.Fatal("Step found nothing")
+			}
+		case "Run":
+			e.Run(MaxTime)
+		}
+		if h.Pending() || h.it.gen == h.gen {
+			t.Fatalf("%s: cancelled head was not recycled", drive)
+		}
+		if drive == "NextAt" {
+			if len(e.free) != free+1 || e.Pending() != 1 {
+				t.Fatalf("NextAt: free %d→%d, pending %d", free, len(e.free), e.Pending())
+			}
+			continue
+		}
+		if !reflect.DeepEqual(fired, []Time{101}) || e.Pending() != 0 {
+			t.Fatalf("%s: fired %v, pending %d; want [101], 0", drive, fired, e.Pending())
+		}
 	}
 }
 
