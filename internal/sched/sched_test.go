@@ -91,6 +91,41 @@ func TestPIFOEvictionTieFavorsQueued(t *testing.T) {
 	}
 }
 
+// TestPIFOEvictsMostRecentAmongWorstTies: when many queued packets share
+// the worst rank, each eviction takes the latest of them to arrive. The
+// backlogs give heaps of one, two, three and ten levels.
+func TestPIFOEvictsMostRecentAmongWorstTies(t *testing.T) {
+	const worst = 100
+	for _, backlog := range []int{3, 7, 64, 1000} {
+		rng := rand.New(rand.NewSource(int64(backlog)))
+		var evicted []uint64
+		q := NewPIFO(Config{CapacityBytes: backlog * 10, OnDrop: func(p *pkt.Packet, c DropCause) {
+			if c != CauseEvicted {
+				t.Fatalf("backlog %d: packet %d dropped with cause %v", backlog, p.ID, c)
+			}
+			evicted = append(evicted, p.ID)
+		}})
+		var ties []uint64 // IDs of the worst-rank packets, in arrival order
+		for id := uint64(1); id <= uint64(backlog); id++ {
+			r := int64(rng.Intn(worst))
+			if id <= 2 || rng.Intn(2) == 0 {
+				r = worst
+				ties = append(ties, id)
+			}
+			q.Enqueue(&pkt.Packet{ID: id, Rank: r, Size: 10})
+		}
+		for i := range ties {
+			if !q.Enqueue(&pkt.Packet{ID: uint64(backlog + 1 + i), Rank: int64(rng.Intn(worst)), Size: 10}) {
+				t.Fatalf("backlog %d: better arrival %d refused", backlog, i)
+			}
+			want := ties[len(ties)-1-i]
+			if len(evicted) != i+1 || evicted[i] != want {
+				t.Fatalf("backlog %d: evicted %v, want packet %d next (ties %v)", backlog, evicted, want, ties)
+			}
+		}
+	}
+}
+
 func TestPIFOBytesAccounting(t *testing.T) {
 	q := NewPIFO(Config{})
 	q.Enqueue(mkpkt(1, 100))
@@ -638,22 +673,69 @@ func assertPanics(t *testing.T, f func()) {
 
 // --- benchmarks ---
 
-func BenchmarkPIFOEnqueueDequeue(b *testing.B) {
-	q := NewPIFO(Config{CapacityBytes: 1 << 30})
+// benchRanks is a fixed table of random ranks the PIFO benchmarks cycle
+// through; its length is a power of two.
+func benchRanks(n int) []int64 {
 	rng := rand.New(rand.NewSource(1))
-	ranks := make([]int64, 1024)
+	ranks := make([]int64, n)
 	for i := range ranks {
 		ranks[i] = int64(rng.Intn(1 << 20))
 	}
-	p := &pkt.Packet{Size: 1500}
+	return ranks
+}
+
+// benchPIFOSteady enqueues one packet and dequeues one per op against a
+// standing backlog. Every queued packet is a distinct *pkt.Packet; only the
+// packet just dequeued is re-ranked and offered again.
+func benchPIFOSteady(b *testing.B, backlog int) {
+	q := NewPIFO(Config{CapacityBytes: 1 << 30})
+	ranks := benchRanks(1 << 17)
+	mask := len(ranks) - 1
+	for i := 0; i < backlog; i++ {
+		q.Enqueue(&pkt.Packet{ID: uint64(i), Rank: ranks[i&mask], Size: 64})
+	}
+	next := &pkt.Packet{ID: uint64(backlog), Size: 64}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Rank = ranks[i%1024]
+		next.Rank = ranks[(backlog+i)&mask]
+		q.Enqueue(next)
+		next = q.Dequeue()
+	}
+}
+
+func BenchmarkPIFOEnqueueDequeue(b *testing.B) { benchPIFOSteady(b, 512) }
+
+// BenchmarkPIFODeep is the heap at pipe_batch_deep's 64 k backlog.
+func BenchmarkPIFODeep(b *testing.B) { benchPIFOSteady(b, 1<<16) }
+
+// BenchmarkPIFOFullBuffer is the eviction path: 1500-byte packets into the
+// default 150 kB buffer (100 packets), two offered per one dequeued, so
+// most arrivals find the buffer full and either evict the worst queued
+// packet or are refused.
+func BenchmarkPIFOFullBuffer(b *testing.B) {
+	var spare []*pkt.Packet
+	q := NewPIFO(Config{OnDrop: func(p *pkt.Packet, _ DropCause) { spare = append(spare, p) }})
+	for i := 0; i < 2*DefaultCapacityBytes/1500; i++ {
+		spare = append(spare, &pkt.Packet{ID: uint64(i), Size: 1500})
+	}
+	ranks := benchRanks(1024)
+	offer := func(i int) {
+		p := spare[len(spare)-1]
+		spare = spare[:len(spare)-1]
+		p.Rank = ranks[i&1023]
 		q.Enqueue(p)
-		if q.Len() > 512 {
-			q.Dequeue()
+		if i&1 == 0 {
+			spare = append(spare, q.Dequeue())
 		}
+	}
+	for i := 0; i < 1024; i++ {
+		offer(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		offer(i)
 	}
 }
 
