@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"qvisor/internal/pkt"
+	"qvisor/internal/pq"
 	"qvisor/internal/sched"
 )
 
@@ -37,87 +38,26 @@ func FIFOTransaction(*pkt.Packet) int64 { return 0 }
 // Classifier maps a packet to the name of the leaf it joins.
 type Classifier func(p *pkt.Packet) string
 
-// node is one PIFO in the tree.
+// node is one PIFO in the tree, keyed by the node's transaction.
 type node struct {
 	name     string
 	tx       Transaction
 	onPop    func(rank int64) // virtual-time hook for fair transactions
-	children map[string]*node
-	h        entryHeap
+	children map[string]*node // nil at a leaf
+	h        pq.Heap[slot]
 	seq      uint64
 }
 
-type entry struct {
-	rank  int64
-	seq   uint64
-	p     *pkt.Packet // leaf entries
-	child *node       // interior entries
+// slot is what a node's PIFO holds: the packet at a leaf, the child the
+// packet descends into at an interior node.
+type slot struct {
+	p     *pkt.Packet
+	child *node
 }
 
-// entryHeap is a hand-rolled binary min-heap of value entries ordered by
-// (rank, seq). The stdlib container/heap would box every entry through its
-// `any` interface on push and pop — one allocation per tree level per
-// packet — so the sift operations are written out directly.
-type entryHeap []entry
-
-func (h entryHeap) less(i, j int) bool {
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h entryHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h entryHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		best := l
-		if r := l + 1; r < n && h.less(r, l) {
-			best = r
-		}
-		if !h.less(best, i) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-func (n *node) push(e entry) {
-	e.seq = n.seq
+func (n *node) push(rank int64, s slot) {
+	n.h.Push(pq.Entry[slot]{Key: rank, Seq: n.seq, Val: s})
 	n.seq++
-	n.h = append(n.h, e)
-	n.h.up(len(n.h) - 1)
-}
-
-func (n *node) pop() (entry, bool) {
-	if len(n.h) == 0 {
-		return entry{}, false
-	}
-	old := n.h
-	last := len(old) - 1
-	e := old[0]
-	old[0] = old[last]
-	old[last] = entry{}
-	n.h = old[:last]
-	if last > 0 {
-		n.h.down(0)
-	}
-	return e, true
 }
 
 // Tree is a PIFO tree. Build one with NewTree and AddLeaf/AddInterior,
@@ -180,7 +120,7 @@ func (t *Tree) add(parent, name string, tx Transaction, leaf bool) error {
 	if tx == nil {
 		tx = FIFOTransaction
 	}
-	n := &node{name: name, tx: tx, children: make(map[string]*node)}
+	n := &node{name: name, tx: tx}
 	if !leaf {
 		n.children = make(map[string]*node)
 	}
@@ -258,9 +198,9 @@ func (t *Tree) Enqueue(p *pkt.Packet) bool {
 	// Interior pushes: each node receives a reference to the next node
 	// down, ranked by its own transaction.
 	for i := 0; i < len(chain)-1; i++ {
-		chain[i].push(entry{rank: chain[i].tx(p), child: chain[i+1]})
+		chain[i].push(chain[i].tx(p), slot{child: chain[i+1]})
 	}
-	leaf.push(entry{rank: leaf.tx(p), p: p})
+	leaf.push(leaf.tx(p), slot{p: p})
 	t.bytes += p.Size
 	t.count++
 	t.stats.Enqueued++
@@ -271,22 +211,20 @@ func (t *Tree) Enqueue(p *pkt.Packet) bool {
 // descend popping each chosen node until a packet emerges.
 func (t *Tree) Dequeue() *pkt.Packet {
 	n := t.root
-	for {
-		e, ok := n.pop()
-		if !ok {
-			return nil
-		}
+	for len(n.h) > 0 {
+		e := n.h.Pop()
 		if n.onPop != nil {
-			n.onPop(e.rank)
+			n.onPop(e.Key)
 		}
-		if e.p != nil {
-			t.bytes -= e.p.Size
+		if p := e.Val.p; p != nil {
+			t.bytes -= p.Size
 			t.count--
 			t.stats.Dequeued++
-			return e.p
+			return p
 		}
-		n = e.child
+		n = e.Val.child
 	}
+	return nil
 }
 
 // Reset implements sched.Scheduler: every node's PIFO is emptied (heap
@@ -296,10 +234,7 @@ func (t *Tree) Dequeue() *pkt.Packet {
 // fair-queuing state must rebuild those transactions.
 func (t *Tree) Reset() {
 	for _, n := range t.nodes {
-		for i := range n.h {
-			n.h[i] = entry{}
-		}
-		n.h = n.h[:0]
+		n.h.Reset()
 		n.seq = 0
 	}
 	t.bytes = 0

@@ -135,7 +135,7 @@ func (q *Admission) Enqueue(p *pkt.Packet) bool {
 	// offered load rather than the survivors.
 	q.observe(p.Rank)
 	if !admit {
-		return q.refuse(p, cause)
+		return refuse(&q.stats, q.cfg, p, cause)
 	}
 	return q.put(q.queueFor(p.Rank), p)
 }

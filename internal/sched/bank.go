@@ -40,14 +40,6 @@ func (b *bank) Stats() Stats { return b.stats }
 // fits reports whether p fits under the bank's total byte capacity.
 func (b *bank) fits(p *pkt.Packet) bool { return b.bytes+p.Size <= b.cfg.capacity() }
 
-// refuse counts p as dropped on arrival and hands it to the drop callback;
-// it returns false so an Enqueue can return the refusal directly.
-func (b *bank) refuse(p *pkt.Packet, cause DropCause) bool {
-	b.stats.Dropped++
-	b.cfg.drop(p, cause)
-	return false
-}
-
 // put appends p to queue i; it returns true, the accepting Enqueue result.
 func (b *bank) put(i int, p *pkt.Packet) bool {
 	b.queues[i].Push(p)

@@ -99,9 +99,7 @@ func (q *BucketQ) BaseRank() int64  { return q.base }
 // Enqueue implements Scheduler.
 func (q *BucketQ) Enqueue(p *pkt.Packet) bool {
 	if q.bytes+p.Size > q.cfg.capacity() {
-		q.stats.Dropped++
-		q.cfg.drop(p, CauseOverflow)
-		return false
+		return refuse(&q.stats, q.cfg, p, CauseOverflow)
 	}
 	q.fileNode(q.node(p))
 	q.count++

@@ -43,7 +43,7 @@ func (q *Calendar) Name() string { return fmt.Sprintf("calendar%d", len(q.queues
 // Enqueue implements Scheduler.
 func (q *Calendar) Enqueue(p *pkt.Packet) bool {
 	if !q.fits(p) {
-		return q.refuse(p, CauseOverflow)
+		return refuse(&q.stats, q.cfg, p, CauseOverflow)
 	}
 	n := len(q.queues)
 	off := 0

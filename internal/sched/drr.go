@@ -83,9 +83,7 @@ func (d *DRR) Stats() Stats { return d.stats }
 // Enqueue implements Scheduler.
 func (d *DRR) Enqueue(p *pkt.Packet) bool {
 	if d.bytes+p.Size > d.cfg.capacity() {
-		d.stats.Dropped++
-		d.cfg.drop(p, CauseOverflow)
-		return false
+		return refuse(&d.stats, d.cfg, p, CauseOverflow)
 	}
 	key := d.keyOf(p)
 	q, ok := d.queues[key]

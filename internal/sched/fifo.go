@@ -20,7 +20,7 @@ func (q *FIFO) Name() string { return "fifo" }
 // tail-dropped.
 func (q *FIFO) Enqueue(p *pkt.Packet) bool {
 	if !q.fits(p) {
-		return q.refuse(p, CauseOverflow)
+		return refuse(&q.stats, q.cfg, p, CauseOverflow)
 	}
 	return q.put(0, p)
 }

@@ -41,7 +41,7 @@ func (q *MQ) Name() string { return fmt.Sprintf("mq%d", len(q.queues)) }
 func (q *MQ) Enqueue(p *pkt.Packet) bool {
 	i := min(max(q.mapper(p), 0), len(q.queues)-1)
 	if q.qbytes[i]+p.Size > q.perQueueCap {
-		return q.refuse(p, CauseOverflow)
+		return refuse(&q.stats, q.cfg, p, CauseOverflow)
 	}
 	return q.put(i, p)
 }

@@ -13,9 +13,10 @@
 // counters, and a pop of the first backlogged queue at or after an index;
 // FIFO, MQ, SP-PIFO, Admission and Calendar embed it and keep only what
 // their rule owns — a mapper, adaptive bounds, a rank window, a rotation
-// cursor — and AIFO is Admission over a bank of one queue. PIFO (a heap),
-// BucketQ (bitmap-indexed chains with an overflow FIFO) and DRR (per-key
-// rings with deficits) are different structures and stay apart.
+// cursor — and AIFO is Admission over a bank of one queue. PIFO (an
+// internal/pq heap), BucketQ (bitmap-indexed chains with an overflow FIFO)
+// and DRR (per-key rings with deficits) are different structures and stay
+// apart.
 // Calendar is deliberately not a BucketQ configuration: the two agree event
 // for event inside the rank horizon, but beyond it the calendar clamps to
 // its last bucket while the bucket queue parks and re-files packets, and
@@ -46,6 +47,11 @@ import (
 //     callback with p before returning; by convention the drop callback is
 //     the single release point for refused and evicted packets, so the
 //     enqueueing caller must NOT release p again on a false return.
+//   - From an accepting Enqueue until p leaves the scheduler (Dequeue,
+//     eviction or Reset), p.Rank must not change: a scheduler may file p
+//     by the rank it had at Enqueue (PIFO keys its heap with it), so a
+//     re-rank in place would leave p out of order. A caller that wants a
+//     new rank dequeues p and enqueues it again.
 //   - Dequeue: the returned packet belongs to the caller.
 //   - Reset: discards queued packets without invoking the drop callback.
 //     Callers that pool packets must drain the scheduler first (or reset
@@ -187,4 +193,12 @@ func (c Config) drop(p *pkt.Packet, cause DropCause) {
 	if c.OnDrop != nil {
 		c.OnDrop(p, cause)
 	}
+}
+
+// refuse counts p as dropped on arrival in st and hands it to c's drop
+// callback; it returns false so an Enqueue can return the refusal directly.
+func refuse(st *Stats, c Config, p *pkt.Packet, cause DropCause) bool {
+	st.Dropped++
+	c.drop(p, cause)
+	return false
 }

@@ -40,7 +40,7 @@ func (q *SPPIFO) Bound(i int) int64 { return q.bounds[i] }
 // Enqueue implements Scheduler using the SP-PIFO mapping algorithm.
 func (q *SPPIFO) Enqueue(p *pkt.Packet) bool {
 	if !q.fits(p) {
-		return q.refuse(p, CauseOverflow)
+		return refuse(&q.stats, q.cfg, p, CauseOverflow)
 	}
 	// Scan from the lowest-priority queue (highest index) towards the
 	// highest-priority queue (index 0).

@@ -15,6 +15,8 @@ import (
 	"math"
 	"math/bits"
 	"time"
+
+	"qvisor/internal/pq"
 )
 
 // Time is simulated time in nanoseconds since the start of the run.
@@ -101,62 +103,6 @@ func (h Handle) Cancel() bool {
 // Pending reports whether the event has neither fired nor been cancelled.
 func (h Handle) Pending() bool {
 	return h.it != nil && h.it.gen == h.gen && !h.it.dead
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by (at, seq): the
-// far tier, holding events at least one wheel span ahead. container/heap
-// is avoided deliberately: its interface indirection costs two dynamic
-// calls per sift step.
-type eventHeap []*item
-
-func (h eventHeap) less(i, j int) bool { return before(h[i], h[j]) }
-
-func (h eventHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (h eventHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		best := l
-		if r := l + 1; r < n && h.less(r, l) {
-			best = r
-		}
-		if !h.less(best, i) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-func (h *eventHeap) push(it *item) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
-}
-
-func (h *eventHeap) pop() *item {
-	old := *h
-	n := len(old)
-	it := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	if n > 1 {
-		h.down(0)
-	}
-	return it
 }
 
 // Wheel geometry: wheelSlots slots of 1<<slotShift ns. Slot width and
@@ -284,8 +230,8 @@ func (w *wheel) take(pos int) *item {
 type Engine struct {
 	now     Time
 	seq     uint64
-	base    int64 // slot the wheel starts at; no queued item is earlier
-	heap    eventHeap
+	base    int64          // slot the wheel starts at; no queued item is earlier
+	heap    pq.Heap[*item] // the far tier, keyed by (at, seq)
 	fired   uint64
 	stopped bool
 	free    []*item
@@ -333,8 +279,8 @@ func (e *Engine) head() (*item, int) {
 		pos = e.wheel.first(int(e.base & wheelMask))
 		it = e.wheel.slots[pos].head
 	}
-	if len(e.heap) > 0 && (it == nil || before(e.heap[0], it)) {
-		return e.heap[0], -1
+	if len(e.heap) > 0 && (it == nil || before(e.heap[0].Val, it)) {
+		return e.heap[0].Val, -1
 	}
 	return it, pos
 }
@@ -345,7 +291,7 @@ func (e *Engine) take(it *item, pos int) {
 	if pos >= 0 {
 		e.wheel.take(pos)
 	} else {
-		e.heap.pop()
+		e.heap.Pop()
 	}
 	e.advance(it.at)
 }
@@ -397,7 +343,7 @@ func (e *Engine) At(at Time, fn Event) Handle {
 	if s := slotOf(at); uint64(s-e.base) < wheelSlots {
 		e.wheel.insert(int(s&wheelMask), it)
 	} else {
-		e.heap.push(it)
+		e.heap.Push(pq.Entry[*item]{Key: int64(at), Seq: it.seq, Val: it})
 	}
 	return Handle{it: it, gen: it.gen}
 }
@@ -468,10 +414,10 @@ func (e *Engine) Step() bool {
 // runs without reallocating its internals. Every outstanding Handle is
 // invalidated.
 func (e *Engine) Reset() {
-	for _, it := range e.heap {
-		e.recycle(it)
+	for _, x := range e.heap {
+		e.recycle(x.Val)
 	}
-	e.heap = e.heap[:0]
+	e.heap.Reset()
 	w := &e.wheel
 	for i, word := range w.words {
 		for ; word != 0; word &= word - 1 {
