@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -49,5 +52,47 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"positional"}, &out); err == nil {
 		t.Fatal("positional argument accepted")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+// goldenSweeps are the three sweeps CI runs: the differential sweep, the
+// replay scoreboard, and the bucket queue beside the FIFO baseline its
+// drift ceiling is measured against. Their reports are deterministic, so
+// a refactor of the harness or of any scheduler must leave them byte for
+// byte alone. Regenerate with `go test ./cmd/qvisor-conform -update` only
+// when the change is meant to move them.
+var goldenSweeps = []struct {
+	file string
+	args []string
+}{
+	{"sweep.golden", []string{"-scenarios", "200", "-seed", "1"}},
+	{"replay.golden", []string{"-replay", "-scenarios", "200", "-seed", "1"}},
+	{"bucketq_fifo.golden", []string{"-scenarios", "200", "-seed", "1", "-backend", "bucketq,fifo"}},
+}
+
+func TestSweepGoldens(t *testing.T) {
+	for _, g := range goldenSweeps {
+		t.Run(g.file, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(g.args, &out); err != nil {
+				t.Fatalf("run %v: %v\n%s", g.args, err, out.String())
+			}
+			golden := filepath.Join("testdata", g.file)
+			if *update {
+				if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("report drifted from %s (re-run with -update if intended):\n--- got ---\n%s--- want ---\n%s",
+					golden, out.Bytes(), want)
+			}
+		})
 	}
 }
