@@ -21,11 +21,13 @@
 //     random rank bounds, random valid policy strings built through the
 //     internal/policy AST, and random packet traces derived from
 //     internal/workload flow generators;
-//   - a differential runner (diff.go) feeding identical pooled traces
-//     through each backend and the oracle, asserting exact dequeue-order
-//     equality where the backend is exact (PIFO, PIFO tree) and bounded
-//     inversion/deviation properties where it approximates (SP-PIFO,
-//     calendar, AIFO), reusing internal/trace's inversion analysis;
+//   - one table of targets (targets.go): for every scheduler, how to build
+//     it for a scenario, the contract the differential runner (diff.go)
+//     holds it to — exact dequeue-order equality where the backend is
+//     exact (PIFO, PIFO tree), bounded inversion/deviation properties
+//     where it approximates (SP-PIFO, calendar, bucket queue, admission) —
+//     whether the replay scoreboard (replay.go) scores it, and its
+//     aggregate drift ceiling against the FIFO baseline;
 //   - metamorphic properties of the synthesizer (metamorphic.go):
 //     rank-shift invariance, tier-composition congruence, and idempotence
 //     of re-synthesis.
@@ -262,13 +264,18 @@ func scenarioSeed(base int64, i int) int64 {
 // every selected backend and the reference oracle.
 func Run(opts Options) (*Report, error) {
 	opts = opts.defaults()
-	selected, err := selectBackends(opts.Backends)
+	selected, err := selectTargets(opts.Backends, false)
 	if err != nil {
 		return nil, err
 	}
+	return run(opts, selected), nil
+}
+
+// run is Run over resolved targets.
+func run(opts Options, selected []*target) *Report {
 	r := &Report{Options: opts}
-	for _, bk := range selected {
-		r.Backends = append(r.Backends, BackendStats{Backend: bk.name, Exact: bk.exact})
+	for _, t := range selected {
+		r.Backends = append(r.Backends, BackendStats{Backend: t.name, Exact: t.ceiling == 0})
 	}
 	for i := 0; i < opts.Scenarios; i++ {
 		rng := rand.New(rand.NewSource(scenarioSeed(opts.Seed, i)))
@@ -287,7 +294,7 @@ func Run(opts Options) (*Report, error) {
 	sort.SliceStable(r.Violations, func(a, b int) bool {
 		return r.Violations[a].Scenario < r.Violations[b].Scenario
 	})
-	return r, nil
+	return r
 }
 
 // aggregateDriftFloor is the minimum scenario count before the aggregate
@@ -297,27 +304,10 @@ func Run(opts Options) (*Report, error) {
 // concentrate tightly.
 const aggregateDriftFloor = 20
 
-// inversionDriftCeilings bounds each approximation's aggregate streaming
-// inversion count relative to the rank-oblivious FIFO baseline on the
-// identical traces. The ceilings derive from the replay-fidelity
-// measurements recorded in EXPERIMENTS.md: across seeds the aggregate
-// ratios concentrate at ~0.60 (sppifo), ~0.87 (calendar), ~0.63
-// (bucketq, whose 128-bucket quantization is 8× finer than the
-// calendar's), and ~0.56 (admission) of FIFO's count, so ceilings a
-// third above those are far outside sampling noise yet still catch an
-// approximation drifting toward — or past — a scheduler that ignores
-// ranks entirely.
-var inversionDriftCeilings = map[string]float64{
-	"sppifo":    0.80,
-	"calendar":  1.00,
-	"bucketq":   0.85,
-	"admission": 0.75,
-}
-
-// checkAggregateInversionDrift applies the replay-fidelity-derived drift
-// ceilings. It needs the FIFO baseline row for scale, so it is skipped
-// when fifo was not among the selected backends or the run is too short
-// for the aggregate rates to have concentrated.
+// checkAggregateInversionDrift holds every row with a drift ceiling (see
+// target.ceiling) to it. It needs the FIFO baseline row for scale, so it
+// is skipped when fifo was not among the selected backends or the run is
+// too short for the aggregate rates to have concentrated.
 func checkAggregateInversionDrift(r *Report) {
 	if r.Scenarios < aggregateDriftFloor {
 		return
@@ -333,15 +323,15 @@ func checkAggregateInversionDrift(r *Report) {
 	}
 	for i := range r.Backends {
 		st := &r.Backends[i]
-		ceiling, ok := inversionDriftCeilings[st.Backend]
-		if !ok {
+		t := targetNamed(st.Backend)
+		if t == nil || t.ceiling == 0 {
 			continue
 		}
-		if limit := ceiling * float64(fifo.Inversions); float64(st.Inversions) > limit {
+		if limit := t.ceiling * float64(fifo.Inversions); float64(st.Inversions) > limit {
 			r.addViolation(Violation{
 				Scenario: -1, Backend: st.Backend, Kind: ViolationInversionBound,
 				Detail: violationf("aggregate inversions %d exceed %.2f× the FIFO baseline's %d over %d scenarios",
-					st.Inversions, ceiling, fifo.Inversions, r.Scenarios),
+					st.Inversions, t.ceiling, fifo.Inversions, r.Scenarios),
 			})
 		}
 	}

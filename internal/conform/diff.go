@@ -3,95 +3,15 @@ package conform
 import (
 	"fmt"
 	"sort"
-	"strings"
 
-	"qvisor/internal/core"
-	"qvisor/internal/pifotree"
 	"qvisor/internal/pkt"
 	"qvisor/internal/sched"
 	"qvisor/internal/trace"
 )
 
-// hugeCapacity removes buffer pressure: the trace's byte volume is far
-// below it, so every backend accepts every packet and differences reflect
-// ordering semantics only.
-const hugeCapacity = 1 << 30
-
-// tightCapacity forces drops and evictions, exercising the PIFO buffer
-// semantics (evict-worst, ties favor the queued packet) differentially.
-const tightCapacity = 32 * 1500
-
 // maxOccupancy bounds the replay backlog (same cap as the experiment
 // harness) so inversion rates reflect realistic queue depths.
 const maxOccupancy = 64
-
-// backendDef is one differential target.
-type backendDef struct {
-	name  string
-	exact bool
-	run   func(r *Report, ctx *diffCtx, st *BackendStats)
-}
-
-// allBackends lists every differential target in report order. FIFO-exact
-// and oracle replays are materialized lazily by diffCtx, so restricting
-// Options.Backends skips the work of unselected ones.
-func allBackends() []backendDef {
-	return []backendDef{
-		{"pifo", true, runPIFO},
-		{"pifo-tight", true, runPIFOTight},
-		{"pifotree", true, runPIFOTree},
-		{"fifo", true, runFIFO},
-		{"aifo", true, runAIFO},
-		{"sp-queues", true, runSPQueues},
-		{"drr", true, runDRR},
-		{"sppifo", false, runSPPIFO},
-		{"calendar", false, runCalendar},
-		{"bucketq", false, runBucketQ},
-		{"admission", false, runAdmission},
-	}
-}
-
-// selectBackends resolves Options.Backends against the registry.
-func selectBackends(names []string) ([]backendDef, error) {
-	all := allBackends()
-	if len(names) == 0 {
-		return all, nil
-	}
-	want := make(map[string]bool)
-	for _, n := range names {
-		if n == "all" {
-			return all, nil
-		}
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []backendDef
-	for _, b := range all {
-		if want[b.name] {
-			out = append(out, b)
-			delete(want, b.name)
-		}
-	}
-	if len(want) > 0 {
-		known := make([]string, len(all))
-		for i, b := range all {
-			known[i] = b.name
-		}
-		for n := range want {
-			return nil, fmt.Errorf("conform: unknown backend %q (known: %s)", n, strings.Join(known, ", "))
-		}
-	}
-	return out, nil
-}
-
-// BackendNames returns the names of every differential target.
-func BackendNames() []string {
-	all := allBackends()
-	out := make([]string, len(all))
-	for i, b := range all {
-		out[i] = b.name
-	}
-	return out
-}
 
 // replayEvent is one observable scheduler action: 'd' = drop/evict,
 // 'q' = dequeue. Drop events also carry the reported cause, so exact
@@ -121,15 +41,16 @@ type replayResult struct {
 	stepViolation string
 }
 
-// replay feeds the scenario trace through a scheduler built by build,
-// using the scenario's service pattern. Packets are pooled copies; the
-// drop callback is the single release point for refused/evicted packets
-// and the dequeue loop for serviced ones, so a non-zero outstanding count
-// at the end is a conservation bug. countInv must be false when the
-// scheduler can evict accepted packets (the inversion model has no
-// eviction hook). step, when non-nil, runs after every enqueue and
-// dequeue and reports the first invariant violation it sees.
-func replay(sc *Scenario, countInv bool, build func(drop sched.DropFn) (sched.Scheduler, error), step func() string) (*replayResult, error) {
+// replay feeds the scenario trace through a scheduler built by build at
+// the given buffer capacity, using the scenario's service pattern. Packets
+// are pooled copies; the drop callback is the single release point for
+// refused/evicted packets and the dequeue loop for serviced ones, so a
+// non-zero outstanding count at the end is a conservation bug. countInv
+// must be false when the scheduler can evict accepted packets (the
+// inversion model has no eviction hook). step, when non-nil, runs after
+// every enqueue and dequeue and reports the first invariant violation it
+// sees.
+func replay(sc *Scenario, capacity int, countInv bool, build buildFn, step func(sched.Scheduler) string) (*replayResult, error) {
 	pool := pkt.NewPool()
 	res := &replayResult{}
 	if countInv {
@@ -140,7 +61,7 @@ func replay(sc *Scenario, countInv bool, build func(drop sched.DropFn) (sched.Sc
 		res.events = append(res.events, replayEvent{'d', p.ID, cause})
 		pool.Put(p)
 	}
-	s, err := build(drop)
+	s, err := build(sc, sched.Config{CapacityBytes: capacity, OnDrop: drop})
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +69,7 @@ func replay(sc *Scenario, countInv bool, build func(drop sched.DropFn) (sched.Sc
 		if step == nil || res.stepViolation != "" {
 			return
 		}
-		res.stepViolation = step()
+		res.stepViolation = step(s)
 	}
 	for i := range sc.Trace {
 		cp := pool.Get()
@@ -189,61 +110,93 @@ func replay(sc *Scenario, countInv bool, build func(drop sched.DropFn) (sched.Sc
 	return res, nil
 }
 
-// diffCtx carries lazily-materialized shared replays for one scenario:
-// the huge- and tight-capacity reference oracles and the FIFO baseline's
-// inversion count.
-type diffCtx struct {
-	sc          *Scenario
-	oracleHuge  *replayResult
-	oracleTight *replayResult
-	fifoRes     *replayResult
-	err         error
+// queueBounds is the view of SP-PIFO and the admission backend that
+// monotoneBounds reads.
+type queueBounds interface {
+	NumQueues() int
+	Bound(i int) int64
 }
 
-// refScheduler adapts RefPIFO to sched.Scheduler so the oracle replays
-// through the same harness as the backends under test.
-type refScheduler struct{ *RefPIFO }
-
-func (refScheduler) Name() string { return "ref-pifo" }
-func (refScheduler) Reset()       {}
-
-func (c *diffCtx) oracle(capacity int) *replayResult {
-	cached := &c.oracleHuge
-	if capacity == tightCapacity {
-		cached = &c.oracleTight
-	}
-	if *cached == nil && c.err == nil {
-		*cached, c.err = replay(c.sc, false, func(d sched.DropFn) (sched.Scheduler, error) {
-			return refScheduler{NewRefPIFO(capacity, d)}, nil
-		}, nil)
-	}
-	return *cached
-}
-
-func (c *diffCtx) fifo() *replayResult {
-	if c.fifoRes == nil && c.err == nil {
-		c.fifoRes, c.err = replay(c.sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-			return sched.NewFIFO(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}), nil
-		}, nil)
-	}
-	return c.fifoRes
-}
-
-// runDifferential replays the scenario through every selected backend and
-// records violations and statistics.
-func runDifferential(r *Report, sc *Scenario, backends []backendDef) {
-	ctx := &diffCtx{sc: sc}
-	for i, b := range backends {
-		st := &r.Backends[i]
-		b.run(r, ctx, st)
-		if ctx.err != nil {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: b.name, Kind: ViolationConservation,
-				Detail: ctx.err.Error(),
-			})
-			ctx.err = nil
+// monotoneBounds is the step of a target with a monotone kind: its queue
+// bounds must be non-decreasing from the highest-priority queue.
+func monotoneBounds(s sched.Scheduler) string {
+	q := s.(queueBounds)
+	for i := 0; i+1 < q.NumQueues(); i++ {
+		if q.Bound(i) > q.Bound(i+1) {
+			return violationf("bounds not monotone: q%d=%d > q%d=%d",
+				i, q.Bound(i), i+1, q.Bound(i+1))
 		}
 	}
+	return ""
+}
+
+// runDifferential replays the scenario through every selected target and
+// holds each to its contract. The reference oracle's replays are shared
+// across targets, one per buffer capacity.
+func runDifferential(r *Report, sc *Scenario, selected []*target) {
+	oracles := make(map[int]*replayResult)
+	for i, t := range selected {
+		capacity := hugeCapacity
+		if t.capacity != 0 {
+			capacity = t.capacity
+		}
+		var step func(sched.Scheduler) string
+		if t.monotone != "" {
+			step = monotoneBounds
+		}
+		v := &verdict{r: r, sc: sc, t: t, capacity: capacity, oracles: oracles}
+		v.res, v.err = replay(sc, capacity, t.capacity == 0, t.build, step)
+		if v.err == nil {
+			accumulate(&r.Backends[i], v.res)
+			if v.res.stepViolation != "" {
+				v.fail(t.monotone, "%s", v.res.stepViolation)
+			}
+			for _, c := range t.contract {
+				if !c(v) {
+					break
+				}
+			}
+		}
+		if v.err != nil {
+			v.fail(ViolationConservation, "%s", v.err)
+		}
+	}
+}
+
+// verdict is one target's differential replay of one scenario, handed to
+// each check of its contract.
+type verdict struct {
+	r        *Report
+	sc       *Scenario
+	t        *target
+	capacity int
+	res      *replayResult
+	oracles  map[int]*replayResult
+	// err is a replay failure (a leak or a build error), reported as a
+	// conservation violation once the contract stops.
+	err error
+}
+
+func (v *verdict) fail(kind ViolationKind, format string, args ...any) {
+	v.r.addViolation(Violation{
+		Scenario: v.sc.Index, Backend: v.t.name, Kind: kind,
+		Detail: violationf(format, args...),
+	})
+}
+
+// oracle returns the reference PIFO's replay at the target's capacity, or
+// nil after recording its failure in v.err.
+func (v *verdict) oracle() *replayResult {
+	if res, ok := v.oracles[v.capacity]; ok {
+		return res
+	}
+	res, err := replay(v.sc, v.capacity, false, refPIFO, nil)
+	if err != nil {
+		v.err = err
+		return nil
+	}
+	v.oracles[v.capacity] = res
+	return res
 }
 
 // accumulate folds a replay into the backend's aggregate statistics.
@@ -259,22 +212,21 @@ func accumulate(st *BackendStats, res *replayResult) {
 	}
 }
 
-// checkConservation verifies the accepted and dequeued ID multisets match:
-// no packet lost, duplicated, or invented.
-func checkConservation(r *Report, sc *Scenario, name string, res *replayResult) bool {
-	if len(res.accepted)+len(res.drops) != len(sc.Trace) {
-		r.addViolation(Violation{
-			Scenario: sc.Index, Backend: name, Kind: ViolationConservation,
-			Detail: violationf("%d accepted + %d dropped != %d offered",
-				len(res.accepted), len(res.drops), len(sc.Trace)),
-		})
+// check is one clause of a target's contract. It returns false when the
+// remaining clauses cannot be judged.
+type check func(v *verdict) bool
+
+// conserved verifies the accepted and dequeued ID multisets match: no
+// packet lost, duplicated, or invented.
+func conserved(v *verdict) bool {
+	res := v.res
+	if len(res.accepted)+len(res.drops) != len(v.sc.Trace) {
+		v.fail(ViolationConservation, "%d accepted + %d dropped != %d offered",
+			len(res.accepted), len(res.drops), len(v.sc.Trace))
 		return false
 	}
 	if len(res.dequeued) != len(res.accepted) {
-		r.addViolation(Violation{
-			Scenario: sc.Index, Backend: name, Kind: ViolationConservation,
-			Detail: violationf("accepted %d packets, dequeued %d", len(res.accepted), len(res.dequeued)),
-		})
+		v.fail(ViolationConservation, "accepted %d packets, dequeued %d", len(res.accepted), len(res.dequeued))
 		return false
 	}
 	a := make([]uint64, len(res.accepted))
@@ -287,233 +239,98 @@ func checkConservation(r *Report, sc *Scenario, name string, res *replayResult) 
 	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 	for i := range a {
 		if a[i] != d[i] {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: name, Kind: ViolationConservation,
-				Detail: violationf("accepted/dequeued ID multisets differ at sorted index %d: %d vs %d", i, a[i], d[i]),
-			})
+			v.fail(ViolationConservation, "accepted/dequeued ID multisets differ at sorted index %d: %d vs %d", i, a[i], d[i])
 			return false
 		}
 	}
 	return true
 }
 
-// checkExactOrder asserts the backend's dequeue ID sequence equals the
-// oracle's.
-func checkExactOrder(r *Report, sc *Scenario, name string, got, oracle *replayResult) {
+// sameOrder requires the dequeue ID sequence to equal the oracle's.
+func sameOrder(v *verdict) bool {
+	oracle := v.oracle()
+	if oracle == nil {
+		return false
+	}
+	got := v.res
 	if len(got.dequeued) != len(oracle.dequeued) {
-		r.addViolation(Violation{
-			Scenario: sc.Index, Backend: name, Kind: ViolationExactOrder,
-			Detail: violationf("dequeued %d packets, oracle %d", len(got.dequeued), len(oracle.dequeued)),
-		})
-		return
+		v.fail(ViolationExactOrder, "dequeued %d packets, oracle %d", len(got.dequeued), len(oracle.dequeued))
+		return true
 	}
 	for i := range got.dequeued {
 		g, w := got.dequeued[i], oracle.dequeued[i]
 		if g.ID != w.ID {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: name, Kind: ViolationExactOrder,
-				Detail: violationf("dequeue %d: packet %d (rank %d), oracle %d (rank %d)",
-					i, g.ID, g.Rank, w.ID, w.Rank),
-			})
-			return
+			v.fail(ViolationExactOrder, "dequeue %d: packet %d (rank %d), oracle %d (rank %d)",
+				i, g.ID, g.Rank, w.ID, w.Rank)
+			return true
 		}
 	}
+	return true
 }
 
-// checkArrivalOrder asserts dequeues preserve accepted arrival order
-// (plain FIFO semantics).
-func checkArrivalOrder(r *Report, sc *Scenario, name string, res *replayResult) {
-	n := len(res.dequeued)
-	if len(res.accepted) < n {
-		n = len(res.accepted)
+// noInversions holds the ideal PIFO to zero rank inversions.
+func noInversions(v *verdict) bool {
+	if v.res.inv != nil && v.res.inv.Inversions != 0 {
+		v.fail(ViolationInversionBound, "ideal PIFO produced %d inversions", v.res.inv.Inversions)
 	}
+	return true
+}
+
+// sameEvents requires the full observable event stream — every drop,
+// eviction, and dequeue, in order, with its cause — to match the oracle's.
+func sameEvents(v *verdict) bool {
+	oracle := v.oracle()
+	if oracle == nil {
+		return false
+	}
+	if len(v.res.events) != len(oracle.events) {
+		v.fail(ViolationDropMismatch, "%d events, oracle %d", len(v.res.events), len(oracle.events))
+		return true
+	}
+	for i := range v.res.events {
+		g, w := v.res.events[i], oracle.events[i]
+		if g != w {
+			v.fail(ViolationDropMismatch, "event %d: %c(%d,%v), oracle %c(%d,%v)",
+				i, g.kind, g.id, g.cause, w.kind, w.id, w.cause)
+			return true
+		}
+	}
+	return true
+}
+
+// arrivalOrder requires dequeues to preserve accepted arrival order (plain
+// FIFO semantics).
+func arrivalOrder(v *verdict) bool {
+	res := v.res
+	n := min(len(res.dequeued), len(res.accepted))
 	for i := 0; i < n; i++ {
 		if res.dequeued[i].ID != res.accepted[i].ID {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: name, Kind: ViolationArrivalOrder,
-				Detail: violationf("dequeue %d: packet %d, arrival order expects %d",
-					i, res.dequeued[i].ID, res.accepted[i].ID),
-			})
-			return
+			v.fail(ViolationArrivalOrder, "dequeue %d: packet %d, arrival order expects %d",
+				i, res.dequeued[i].ID, res.accepted[i].ID)
+			break
 		}
 	}
+	return true
 }
 
-// --- per-backend runners ---
-
-func runPIFO(r *Report, ctx *diffCtx, st *BackendStats) {
-	res, err := replay(ctx.sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewPIFO(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}), nil
-	}, nil)
-	if err != nil {
-		ctx.err = err
-		return
+// noDrops flags any drop: with no buffer pressure an admission-controlled
+// backend's admission test always passes.
+func noDrops(v *verdict) bool {
+	if n := len(v.res.drops); n != 0 {
+		v.fail(ViolationAdmission, "%s dropped %d packets with no buffer pressure", v.t.name, n)
 	}
-	accumulate(st, res)
-	if !checkConservation(r, ctx.sc, st.Backend, res) {
-		return
-	}
-	oracle := ctx.oracle(hugeCapacity)
-	if oracle == nil {
-		return
-	}
-	checkExactOrder(r, ctx.sc, st.Backend, res, oracle)
-	if res.inv != nil && res.inv.Inversions != 0 {
-		r.addViolation(Violation{
-			Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationInversionBound,
-			Detail: violationf("ideal PIFO produced %d inversions", res.inv.Inversions),
-		})
-	}
+	return true
 }
 
-// runPIFOTight replays the production PIFO under buffer pressure and
-// requires its full observable event stream — every drop, eviction, and
-// dequeue, in order — to match the reference oracle's.
-func runPIFOTight(r *Report, ctx *diffCtx, st *BackendStats) {
-	res, err := replay(ctx.sc, false, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewPIFO(sched.Config{CapacityBytes: tightCapacity, OnDrop: d}), nil
-	}, nil)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	oracle := ctx.oracle(tightCapacity)
-	if oracle == nil {
-		return
-	}
-	if len(res.events) != len(oracle.events) {
-		r.addViolation(Violation{
-			Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationDropMismatch,
-			Detail: violationf("%d events, oracle %d", len(res.events), len(oracle.events)),
-		})
-		return
-	}
-	for i := range res.events {
-		g, w := res.events[i], oracle.events[i]
-		if g != w {
-			r.addViolation(Violation{
-				Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationDropMismatch,
-				Detail: violationf("event %d: %c(%d,%v), oracle %c(%d,%v)",
-					i, g.kind, g.id, g.cause, w.kind, w.id, w.cause),
-			})
-			return
-		}
-	}
-}
-
-// runPIFOTree replays a one-level PIFO tree — one leaf per tenant, the
-// packet rank as scheduling transaction at root and leaves — which must be
-// observationally identical to the flat reference PIFO (the merge of
-// per-leaf sorted sequences is the global sorted sequence, with arrival
-// tie-breaks preserved by the per-node sequence numbers).
-func runPIFOTree(r *Report, ctx *diffCtx, st *BackendStats) {
-	sc := ctx.sc
-	res, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		rankTx := func(p *pkt.Packet) int64 { return p.Rank }
-		nameOf := make(map[pkt.TenantID]string, len(sc.Tenants))
-		for _, t := range sc.Tenants {
-			nameOf[t.ID] = t.Name
-		}
-		classify := func(p *pkt.Packet) string {
-			if n, ok := nameOf[p.Tenant]; ok {
-				return n
-			}
-			return "unknown"
-		}
-		tree := pifotree.NewTree(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, rankTx, classify)
-		for _, t := range sc.Tenants {
-			if err := tree.AddLeaf("root", t.Name, rankTx); err != nil {
-				return nil, err
-			}
-		}
-		if err := tree.AddLeaf("root", "unknown", rankTx); err != nil {
-			return nil, err
-		}
-		return tree, nil
-	}, nil)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if !checkConservation(r, sc, st.Backend, res) {
-		return
-	}
-	oracle := ctx.oracle(hugeCapacity)
-	if oracle == nil {
-		return
-	}
-	checkExactOrder(r, sc, st.Backend, res, oracle)
-}
-
-func runFIFO(r *Report, ctx *diffCtx, st *BackendStats) {
-	res := ctx.fifo()
-	if res == nil {
-		return
-	}
-	accumulate(st, res)
-	if !checkConservation(r, ctx.sc, st.Backend, res) {
-		return
-	}
-	checkArrivalOrder(r, ctx.sc, st.Backend, res)
-}
-
-// runAIFO replays AIFO without buffer pressure: with the queue far below
-// both capacity and the admission headroom, the quantile admission test
-// always passes, so AIFO must behave exactly like a plain FIFO — any drop
-// or reordering is a violation.
-func runAIFO(r *Report, ctx *diffCtx, st *BackendStats) {
-	res, err := replay(ctx.sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewAIFO(sched.AIFOConfig{Config: sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}}), nil
-	}, nil)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if len(res.drops) != 0 {
-		r.addViolation(Violation{
-			Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationAdmission,
-			Detail: violationf("AIFO dropped %d packets with no admission pressure", len(res.drops)),
-		})
-	}
-	if !checkConservation(r, ctx.sc, st.Backend, res) {
-		return
-	}
-	checkArrivalOrder(r, ctx.sc, st.Backend, res)
-}
-
-// runSPQueues deploys the joint policy's static queue mapping
-// (BackendSPQueues) and checks the scheduler against a strict-priority
+// strictPriority checks the static queue mapping against a strict-priority
 // multi-queue model rebuilt from the deployment's published ranges: every
 // dequeue must come from the lowest-index backlogged queue and preserve
 // FIFO order within it.
-func runSPQueues(r *Report, ctx *diffCtx, st *BackendStats) {
-	sc := ctx.sc
-	queues := 8
-	if nt := len(sc.Joint.Tiers); nt > queues {
-		queues = nt
-	}
-	var dep *core.Deployment
-	res, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		var err error
-		dep, err = sc.Joint.Deploy(core.BackendSPQueues, core.DeployOptions{
-			Queues: queues,
-			Sched:  sched.Config{CapacityBytes: hugeCapacity, OnDrop: d},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return dep.Scheduler, nil
-	}, nil)
+func strictPriority(v *verdict) bool {
+	dep, err := deploySPQueues(v.sc, sched.Config{})
 	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if !checkConservation(r, sc, st.Backend, res) {
-		return
+		v.err = err
+		return false
 	}
 	// Rebuild the rank→queue mapping from the published ranges, exactly
 	// as the deployment's mapper does.
@@ -532,12 +349,12 @@ func runSPQueues(r *Report, ctx *diffCtx, st *BackendStats) {
 	// accepted arrivals and dequeues against it in lockstep.
 	model := make([][]uint64, len(dep.Ranges))
 	ai := 0
-	for _, q := range res.dequeued {
+	for _, q := range v.res.dequeued {
 		// Admit arrivals up to (and including) this dequeue's position:
 		// arrival i precedes dequeue j iff the packet was accepted before
 		// the dequeue happened. Event order gives the interleaving.
-		for ai < len(res.accepted) && !queuedInModel(model, q.ID) {
-			p := res.accepted[ai]
+		for ai < len(v.res.accepted) && !queuedInModel(model, q.ID) {
+			p := v.res.accepted[ai]
 			model[queueOf(p.Rank)] = append(model[queueOf(p.Rank)], p.ID)
 			ai++
 		}
@@ -545,23 +362,18 @@ func runSPQueues(r *Report, ctx *diffCtx, st *BackendStats) {
 		// Strict priority: no lower-index queue may be backlogged.
 		for i := 0; i < qi; i++ {
 			if len(model[i]) > 0 {
-				r.addViolation(Violation{
-					Scenario: sc.Index, Backend: st.Backend, Kind: ViolationArrivalOrder,
-					Detail: violationf("dequeued packet %d from queue %d while queue %d backlogged",
-						q.ID, qi, i),
-				})
-				return
+				v.fail(ViolationArrivalOrder, "dequeued packet %d from queue %d while queue %d backlogged",
+					q.ID, qi, i)
+				return true
 			}
 		}
 		if len(model[qi]) == 0 || model[qi][0] != q.ID {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: st.Backend, Kind: ViolationArrivalOrder,
-				Detail: violationf("dequeued packet %d out of FIFO order within queue %d", q.ID, qi),
-			})
-			return
+			v.fail(ViolationArrivalOrder, "dequeued packet %d out of FIFO order within queue %d", q.ID, qi)
+			return true
 		}
 		model[qi] = model[qi][1:]
 	}
+	return true
 }
 
 func queuedInModel(model [][]uint64, id uint64) bool {
@@ -575,238 +387,79 @@ func queuedInModel(model [][]uint64, id uint64) bool {
 	return false
 }
 
-// runDRR checks deficit round robin's only rank-free guarantee: packets of
-// the same flow leave in arrival order.
-func runDRR(r *Report, ctx *diffCtx, st *BackendStats) {
-	res, err := replay(ctx.sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewDRR(sched.DRRConfig{Config: sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}}), nil
-	}, nil)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if !checkConservation(r, ctx.sc, st.Backend, res) {
-		return
-	}
+// perFlowOrder checks deficit round robin's only rank-free guarantee:
+// packets of the same flow leave in arrival order.
+func perFlowOrder(v *verdict) bool {
 	perFlow := make(map[uint64][]uint64)
-	for _, p := range res.accepted {
+	for _, p := range v.res.accepted {
 		perFlow[p.Flow] = append(perFlow[p.Flow], p.ID)
 	}
-	for _, p := range res.dequeued {
+	for _, p := range v.res.dequeued {
 		q := perFlow[p.Flow]
 		if len(q) == 0 || q[0] != p.ID {
-			r.addViolation(Violation{
-				Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationArrivalOrder,
-				Detail: violationf("flow %d dequeued packet %d out of per-flow FIFO order", p.Flow, p.ID),
-			})
-			return
+			v.fail(ViolationArrivalOrder, "flow %d dequeued packet %d out of per-flow FIFO order", p.Flow, p.ID)
+			return true
 		}
 		perFlow[p.Flow] = q[1:]
 	}
+	return true
 }
 
-// runSPPIFO replays the SP-PIFO approximation, holding it to its
-// structural invariant — queue bounds monotone non-decreasing from the
-// highest-priority queue — and to the baseline deviation bound: adapting
-// queue bounds must never invert more than the rank-oblivious FIFO on the
-// identical trace.
-func runSPPIFO(r *Report, ctx *diffCtx, st *BackendStats) {
-	var q *sched.SPPIFO
-	step := func() string {
-		for i := 0; i+1 < q.NumQueues(); i++ {
-			if q.Bound(i) > q.Bound(i+1) {
-				return violationf("bounds not monotone: q%d=%d > q%d=%d",
-					i, q.Bound(i), i+1, q.Bound(i+1))
-			}
-		}
-		return ""
-	}
-	res, err := replay(ctx.sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		q = sched.NewSPPIFO(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, 8)
-		return q, nil
-	}, step)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if res.stepViolation != "" {
-		r.addViolation(Violation{
-			Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationSPPIFOBound,
-			Detail: res.stepViolation,
-		})
-	}
-	if !checkConservation(r, ctx.sc, st.Backend, res) {
-		return
-	}
-	checkInversionBound(r, ctx, st.Backend, res)
-}
-
-// runCalendar replays the calendar queue twice: interleaved (for the
-// FIFO-baseline deviation bound) and batch mode, where all enqueues
-// precede all dequeues and the drain must visit buckets in non-decreasing
-// index order — the calendar's structural ordering theorem.
-func runCalendar(r *Report, ctx *diffCtx, st *BackendStats) {
-	sc := ctx.sc
-	buckets := 16
-	// +1 for the UnknownWorst rank
-	width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
-	res, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewCalendar(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, buckets, width), nil
-	}, nil)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if !checkConservation(r, sc, st.Backend, res) {
-		return
-	}
-	checkInversionBound(r, ctx, st.Backend, res)
-
-	// Batch mode: enqueue everything, then drain. The bucket index of
-	// every dequeued packet (floor(rank/width), clamped to the horizon)
-	// must be non-decreasing.
-	cal := sched.NewCalendar(sched.Config{CapacityBytes: hugeCapacity}, buckets, width)
-	for i := range sc.Trace {
-		p := sc.Trace[i] // local copy; this replay is not pooled
-		cal.Enqueue(&p)
-	}
-	prev := -1
-	for p := cal.Dequeue(); p != nil; p = cal.Dequeue() {
-		b := 0
-		if p.Rank > 0 {
-			b = int(p.Rank / width)
-			if b >= buckets {
-				b = buckets - 1
-			}
-		}
-		if b < prev {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: st.Backend, Kind: ViolationCalendarOrder,
-				Detail: violationf("batch drain visited bucket %d after bucket %d (packet %d rank %d)",
-					b, prev, p.ID, p.Rank),
-			})
-			break
-		}
-		prev = b
-	}
-}
-
-// runBucketQ replays the FFS bucket queue the same two ways as the
-// calendar: interleaved for the FIFO-baseline deviation bound, and in
-// batch mode, where its approximation contract is checked exactly — the
-// drain must equal the ideal order up to rank quantization. Concretely,
-// the quantized index floor(rank/width) of successive dequeues must be
-// non-decreasing (no clamp to the horizon: packets past it overflow and
-// re-file, preserving the global quantized order), and within one
-// quantized index packets must leave in arrival order (per-bucket FIFO
+// batchDrain builds the target afresh, enqueues the whole trace, then
+// drains it: the bucket index floor(rank/width) of successive dequeues
+// must never decrease — the quantized schedulers' structural ordering
+// theorem. A calendar (quantizedExact false) clamps the index to its
+// rotating horizon. A bucket queue is held to more: its contract is exact
+// up to quantization, so the index is not clamped (packets past the
+// horizon overflow and re-file, preserving the global quantized order) and
+// packets of one index must leave in arrival order (per-bucket FIFO
 // chains, re-filed in arrival order on rebase).
-func runBucketQ(r *Report, ctx *diffCtx, st *BackendStats) {
-	sc := ctx.sc
-	buckets := 128 // exercises both FFS bitmap levels (two words + summary)
-	// +1 for the UnknownWorst rank
-	width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
-	res, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewBucketQ(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, buckets, width), nil
-	}, nil)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if !checkConservation(r, sc, st.Backend, res) {
-		return
-	}
-	checkInversionBound(r, ctx, st.Backend, res)
-
-	// Batch mode: enqueue everything, then drain.
-	bq := sched.NewBucketQ(sched.Config{CapacityBytes: hugeCapacity}, buckets, width)
-	arrival := make(map[uint64]int, len(sc.Trace))
-	for i := range sc.Trace {
-		p := sc.Trace[i] // local copy; this replay is not pooled
-		arrival[p.ID] = i
-		bq.Enqueue(&p)
-	}
-	prev, prevArr := -1, -1
-	for p := bq.Dequeue(); p != nil; p = bq.Dequeue() {
-		b := 0
-		if p.Rank > 0 {
-			b = int(p.Rank / width)
+func batchDrain(kind ViolationKind, buckets int, quantizedExact bool) check {
+	return func(v *verdict) bool {
+		sc := v.sc
+		width := bucketWidth(sc, buckets)
+		s, err := v.t.build(sc, sched.Config{CapacityBytes: hugeCapacity})
+		if err != nil {
+			v.err = err
+			return false
 		}
-		if b < prev {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: st.Backend, Kind: ViolationBucketQOrder,
-				Detail: violationf("batch drain visited quantized index %d after %d (packet %d rank %d)",
-					b, prev, p.ID, p.Rank),
-			})
-			break
+		arrival := make(map[uint64]int, len(sc.Trace))
+		for i := range sc.Trace {
+			p := sc.Trace[i] // local copy; this replay is not pooled
+			arrival[p.ID] = i
+			s.Enqueue(&p)
 		}
-		if b > prev {
-			prevArr = -1
-		}
-		if ai := arrival[p.ID]; ai < prevArr {
-			r.addViolation(Violation{
-				Scenario: sc.Index, Backend: st.Backend, Kind: ViolationBucketQOrder,
-				Detail: violationf("batch drain broke FIFO within quantized index %d (packet %d arrived before its predecessor)",
-					b, p.ID),
-			})
-			break
-		} else {
-			prevArr = ai
-		}
-		prev = b
-	}
-}
-
-// runAdmission replays the combined admission+scheduling backend, holding
-// it to its structural invariants: the dynamic per-queue admission bounds
-// stay monotone non-decreasing from the highest-priority queue after every
-// observable action, and with no buffer pressure (hugeCapacity) the
-// quantile admission rule admits everything — any drop is a violation.
-// As an approximation it is also held to the inversion deviation bound.
-func runAdmission(r *Report, ctx *diffCtx, st *BackendStats) {
-	var q *sched.Admission
-	step := func() string {
-		for i := 0; i+1 < q.NumQueues(); i++ {
-			if q.Bound(i) > q.Bound(i+1) {
-				return violationf("admission bounds not monotone: q%d=%d > q%d=%d",
-					i, q.Bound(i), i+1, q.Bound(i+1))
+		prev, prevArr := -1, -1
+		for p := s.Dequeue(); p != nil; p = s.Dequeue() {
+			b := 0
+			if p.Rank > 0 {
+				b = int(p.Rank / width)
 			}
+			if !quantizedExact {
+				b = min(b, buckets-1)
+			}
+			if b < prev {
+				v.fail(kind, "batch drain visited bucket %d after bucket %d (packet %d rank %d)",
+					b, prev, p.ID, p.Rank)
+				break
+			}
+			if b > prev {
+				prevArr = -1
+			}
+			if ai := arrival[p.ID]; quantizedExact && ai < prevArr {
+				v.fail(kind, "batch drain broke FIFO within bucket %d (packet %d arrived before its predecessor)",
+					b, p.ID)
+				break
+			} else {
+				prevArr = ai
+			}
+			prev = b
 		}
-		return ""
+		return true
 	}
-	res, err := replay(ctx.sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		q = sched.NewAdmission(sched.AdmissionConfig{
-			Config: sched.Config{CapacityBytes: hugeCapacity, OnDrop: d},
-		})
-		return q, nil
-	}, step)
-	if err != nil {
-		ctx.err = err
-		return
-	}
-	accumulate(st, res)
-	if res.stepViolation != "" {
-		r.addViolation(Violation{
-			Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationAdmissionBound,
-			Detail: res.stepViolation,
-		})
-	}
-	if len(res.drops) != 0 {
-		r.addViolation(Violation{
-			Scenario: ctx.sc.Index, Backend: st.Backend, Kind: ViolationAdmission,
-			Detail: violationf("admission backend dropped %d packets with no buffer pressure", len(res.drops)),
-		})
-	}
-	if !checkConservation(r, ctx.sc, st.Backend, res) {
-		return
-	}
-	checkInversionBound(r, ctx, st.Backend, res)
 }
 
-// checkInversionBound holds an approximating backend to the UPS replay
+// inversionBound holds an approximating backend to the UPS replay
 // theorem: the streaming inversion count (dequeues made while a strictly
 // lower rank was still queued) never exceeds the pair-inversion count of
 // the realized departure order against the ideal rank order — the same
@@ -821,20 +474,19 @@ func runAdmission(r *Report, ctx *diffCtx, st *BackendStats) {
 // TestInversionBudgetRegression for pinned examples). The theorem form
 // cannot flake: a breach is a bug in the scheduler or the counter, never
 // an unlucky trace. The empirical "don't drift far past FIFO" guard that
-// the old per-scenario budget aimed at lives on as the aggregate,
-// replay-fidelity-derived ceilings checked at the end of Run.
-func checkInversionBound(r *Report, ctx *diffCtx, name string, res *replayResult) {
+// the old per-scenario budget aimed at lives on as the aggregate drift
+// ceilings of the target table, checked at the end of Run.
+func inversionBound(v *verdict) bool {
+	res := v.res
 	if res.inv == nil {
-		return
+		return true
 	}
 	pairInv := pairInversionsVsIdeal(res.dequeued)
 	if int64(res.inv.Inversions) > pairInv {
-		r.addViolation(Violation{
-			Scenario: ctx.sc.Index, Backend: name, Kind: ViolationInversionBound,
-			Detail: violationf("%d streaming inversions exceed the %d pair inversions vs ideal rank order",
-				res.inv.Inversions, pairInv),
-		})
+		v.fail(ViolationInversionBound, "%d streaming inversions exceed the %d pair inversions vs ideal rank order",
+			res.inv.Inversions, pairInv)
 	}
+	return true
 }
 
 // pairInversionsVsIdeal counts UPS pair inversions of a departure order

@@ -3,8 +3,6 @@ package conform
 import (
 	"math/rand"
 	"testing"
-
-	"qvisor/internal/sched"
 )
 
 // The scenarios pinned here were found by scanning 50k random scenarios
@@ -40,42 +38,16 @@ func pinnedReplays(t *testing.T, ps pinnedScenario) (fifo *replayResult, approx 
 	if err != nil {
 		t.Fatalf("seed %d scenario %d: %v", ps.seed, ps.index, err)
 	}
-	fifo, err = replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewFIFO(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}), nil
-	}, nil)
+	fifo, err = replay(sc, hugeCapacity, true, targetNamed("fifo").build, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx = map[string]*replayResult{}
-	sp, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewSPPIFO(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, 8), nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"sppifo", "calendar", "admission"} {
+		if approx[name], err = replay(sc, hugeCapacity, true, targetNamed(name).build, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	approx["sppifo"] = sp
-	buckets := 16
-	span := sc.Joint.Output.Span() + 2
-	width := (span + int64(buckets) - 1) / int64(buckets)
-	if width < 1 {
-		width = 1
-	}
-	cal, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewCalendar(sched.Config{CapacityBytes: hugeCapacity, OnDrop: d}, buckets, width), nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx["calendar"] = cal
-	adm, err := replay(sc, true, func(d sched.DropFn) (sched.Scheduler, error) {
-		return sched.NewAdmission(sched.AdmissionConfig{
-			Config: sched.Config{CapacityBytes: hugeCapacity, OnDrop: d},
-		}), nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx["admission"] = adm
 	return fifo, approx
 }
 
@@ -131,8 +103,7 @@ func TestInversionBudgetRegression(t *testing.T) {
 
 // TestAggregateInversionDrift exercises the run-level ceilings that
 // replaced the old budget's empirical role: a 25-scenario sweep stays
-// under every replay-fidelity-derived ceiling, and the ceilings really
-// are armed (a fabricated report with an inflated sppifo count trips
+// under every target's drift ceiling, and the ceilings really are armed (a fabricated report with an inflated sppifo count trips
 // them).
 func TestAggregateInversionDrift(t *testing.T) {
 	r, err := Run(Options{Scenarios: 25, Seed: 677, Backends: []string{"fifo", "sppifo", "calendar", "admission"}})

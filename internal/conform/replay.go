@@ -8,7 +8,6 @@ import (
 
 	"qvisor/internal/core"
 	"qvisor/internal/pkt"
-	"qvisor/internal/sched"
 )
 
 // The UPS replay oracle, after Universal Packet Scheduling (Mittal et
@@ -22,12 +21,6 @@ import (
 // displacement, and drop-profile divergence, with a per-tenant breakdown.
 // The resulting scoreboard (see EXPERIMENTS.md) is what the synthesizer's
 // backend auto-selection consumes via Profiles.
-
-// replayCapacity is the per-port buffer the replay runs under: tight
-// enough (32 full-size packets, same as diff.go's tightCapacity) that
-// every backend faces real buffer and admission pressure, so the drop
-// profile is part of the measurement rather than vacuously empty.
-const replayCapacity = tightCapacity
 
 // Schedule is one backend's observable outcome of replaying a scenario:
 // the delivered packets in departure order and the dropped packet IDs in
@@ -331,104 +324,11 @@ type ReplayReport struct {
 // Passed reports whether every replay conserved packets.
 func (r *ReplayReport) Passed() bool { return r.TotalErrors == 0 }
 
-// replayBackendDef builds one discipline for the replay sweep. The
-// capacity is fixed at replayCapacity; cfg carries the drop callback.
-type replayBackendDef struct {
-	name  string
-	build func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error)
-}
-
-// replayBackends lists the nine scheduling disciplines in scoreboard
-// order: the exact reference first, then the FIFO-family baselines, then
-// the PIFO approximations.
-func replayBackends() []replayBackendDef {
-	return []replayBackendDef{
-		{"pifo", func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewPIFO(cfg), nil
-		}},
-		{"fifo", func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewFIFO(cfg), nil
-		}},
-		{"drr", func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewDRR(sched.DRRConfig{Config: cfg}), nil
-		}},
-		{"sp-queues", func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			queues := 8
-			if nt := len(sc.Joint.Tiers); nt > queues {
-				queues = nt
-			}
-			dep, err := sc.Joint.Deploy(core.BackendSPQueues, core.DeployOptions{
-				Queues: queues, Sched: cfg,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return dep.Scheduler, nil
-		}},
-		{"sppifo", func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewSPPIFO(cfg, 8), nil
-		}},
-		{"calendar", func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			buckets := 16
-			width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
-			return sched.NewCalendar(cfg, buckets, width), nil
-		}},
-		{"bucketq", func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			buckets := 128
-			width := sched.BucketWidth(sc.Joint.Output.Span()+2, buckets)
-			return sched.NewBucketQ(cfg, buckets, width), nil
-		}},
-		{"aifo", func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewAIFO(sched.AIFOConfig{Config: cfg}), nil
-		}},
-		{"admission", func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewAdmission(sched.AdmissionConfig{Config: cfg}), nil
-		}},
-	}
-}
-
-// ReplayBackendNames returns the names of the replay sweep's disciplines.
-func ReplayBackendNames() []string {
-	all := replayBackends()
-	out := make([]string, len(all))
-	for i, b := range all {
-		out[i] = b.name
-	}
-	return out
-}
-
-func selectReplayBackends(names []string) ([]replayBackendDef, error) {
-	all := replayBackends()
-	if len(names) == 0 {
-		return all, nil
-	}
-	want := make(map[string]bool)
-	for _, n := range names {
-		if n == "all" {
-			return all, nil
-		}
-		want[strings.TrimSpace(n)] = true
-	}
-	var out []replayBackendDef
-	for _, b := range all {
-		if want[b.name] {
-			out = append(out, b)
-			delete(want, b.name)
-		}
-	}
-	for n := range want {
-		return nil, fmt.Errorf("conform: unknown replay backend %q (known: %s)",
-			n, strings.Join(ReplayBackendNames(), ", "))
-	}
-	return out, nil
-}
-
-// replaySchedule runs the scenario through build at replayCapacity and
-// returns the observable schedule.
-func replaySchedule(sc *Scenario, build func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error)) (Schedule, error) {
-	res, err := replay(sc, false, func(d sched.DropFn) (sched.Scheduler, error) {
-		return build(sc, sched.Config{CapacityBytes: replayCapacity, OnDrop: d})
-	}, nil)
+// replaySchedule runs the scenario through build at tightCapacity, where
+// every backend faces real buffer and admission pressure, so the drop
+// profile is part of the measurement rather than vacuously empty.
+func replaySchedule(sc *Scenario, build buildFn) (Schedule, error) {
+	res, err := replay(sc, tightCapacity, false, build, nil)
 	if err != nil {
 		return Schedule{}, err
 	}
@@ -440,7 +340,7 @@ func replaySchedule(sc *Scenario, build func(sc *Scenario, cfg sched.Config) (sc
 // through each selected backend, and aggregates the fidelity scoreboard.
 func RunReplay(opts ReplayOptions) (*ReplayReport, error) {
 	opts = opts.defaults()
-	selected, err := selectReplayBackends(opts.Backends)
+	selected, err := selectTargets(opts.Backends, true)
 	if err != nil {
 		return nil, err
 	}
@@ -465,9 +365,7 @@ func RunReplay(opts ReplayOptions) (*ReplayReport, error) {
 		}
 		r.Scenarios++
 		r.Packets += len(sc.Trace)
-		ideal, err := replaySchedule(sc, func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return refScheduler{NewRefPIFO(cfg.CapacityBytes, cfg.OnDrop)}, nil
-		})
+		ideal, err := replaySchedule(sc, refPIFO)
 		if err != nil {
 			addErr(fmt.Sprintf("scenario %d [ideal]: %v", i, err))
 			continue
@@ -546,7 +444,7 @@ func tenantNamer(sc *Scenario) func(pkt.TenantID) string {
 func (r *ReplayReport) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "replay fidelity: %d scenarios, %d packets, seed %d (UPS replay vs ideal PIFO, %d-byte buffers)\n",
-		r.Scenarios, r.Packets, r.Options.Seed, replayCapacity)
+		r.Scenarios, r.Packets, r.Options.Seed, tightCapacity)
 	fmt.Fprintf(&b, "%-10s %6s %9s %9s %10s %10s %11s %9s %6s\n",
 		"backend", "exact", "delivered", "matched", "inv/pkt", "disp/pkt", "rankdisp", "drop-div", "err")
 	for _, f := range r.Backends {
