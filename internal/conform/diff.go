@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"sort"
 
+	"qvisor/internal/core"
 	"qvisor/internal/pkt"
 	"qvisor/internal/sched"
 	"qvisor/internal/trace"
 )
 
-// maxOccupancy bounds the replay backlog (same cap as the experiment
-// harness) so inversion rates reflect realistic queue depths.
+// maxOccupancy bounds the replay backlog (the sweeps' and the inversion
+// study's) so inversion rates reflect realistic queue depths.
 const maxOccupancy = 64
 
 // replayEvent is one observable scheduler action: 'd' = drop/evict,
@@ -108,6 +109,20 @@ func replay(sc *Scenario, capacity int, countInv bool, build buildFn, step func(
 		return nil, fmt.Errorf("%s leaked %d packets", s.Name(), n)
 	}
 	return res, nil
+}
+
+// ReplayInversions replays sc's trace through the scheduler the sched.New
+// spec names, at the given buffer capacity, under sc's service pattern and
+// the sweeps' occupancy cap, and returns its dequeues, the rank inversions
+// among them, and its drops. Only sc.Trace and sc.Serve are read. The
+// scheduler must not evict accepted packets.
+func ReplayInversions(sc *Scenario, spec string, capacity int) (dequeues, inversions, drops int, err error) {
+	build := func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) { return sched.New(spec, cfg) }
+	res, err := replay(sc, capacity, true, build, nil)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return res.inv.Dequeues, res.inv.Inversions, len(res.drops), nil
 }
 
 // queueBounds is the view of SP-PIFO and the admission backend that
@@ -327,7 +342,7 @@ func noDrops(v *verdict) bool {
 // dequeue must come from the lowest-index backlogged queue and preserve
 // FIFO order within it.
 func strictPriority(v *verdict) bool {
-	dep, err := deploySPQueues(v.sc, sched.Config{})
+	dep, err := deploy(v.sc, core.BackendSPQueues, sched.Config{})
 	if err != nil {
 		v.err = err
 		return false

@@ -21,10 +21,10 @@ const hugeCapacity = 1 << 30
 // discipline's drop profile under it.
 const tightCapacity = 32 * 1500
 
-// The scheduler parameters the targets are built with, in one place for
-// both sweeps.
+// The bucket counts of the two rows that are not deployments, in one place
+// for both sweeps: deliberately smaller than a deployment's, so the sweeps
+// exercise wrap-around and batch drains.
 const (
-	sppifoQueues    = 8
 	calendarBuckets = 16
 	bucketqBuckets  = 128 // exercises both FFS bitmap levels (two words + summary)
 )
@@ -70,21 +70,19 @@ type target struct {
 // and its two differential-only variants, the FIFO-family baselines, then
 // the PIFO approximations. The differential sweep runs every row, the
 // replay sweep the scored ones, and the drift check reads the ceilings.
+// A row whose scheduler is exactly a deployment builds through Deploy, so
+// the scoreboard DeployBest reads measures what production deploys.
 var targets = []target{
 	{
 		name: "pifo", scored: true,
-		build: func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewPIFO(cfg), nil
-		},
+		build:    deployed(core.BackendPIFO),
 		contract: []check{conserved, sameOrder, noInversions},
 	},
 	{
 		// The production PIFO under buffer pressure: every drop,
 		// eviction and dequeue, in order, must match the oracle's.
 		name: "pifo-tight", capacity: tightCapacity,
-		build: func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewPIFO(cfg), nil
-		},
+		build:    deployed(core.BackendPIFO),
 		contract: []check{sameEvents},
 	},
 	{
@@ -94,9 +92,7 @@ var targets = []target{
 	},
 	{
 		name: "fifo", scored: true,
-		build: func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewFIFO(cfg), nil
-		},
+		build:    deployed(core.BackendFIFO),
 		contract: []check{conserved, arrivalOrder},
 	},
 	{
@@ -108,20 +104,12 @@ var targets = []target{
 	},
 	{
 		name: "sp-queues", scored: true,
-		build: func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			dep, err := deploySPQueues(sc, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return dep.Scheduler, nil
-		},
+		build:    deployed(core.BackendSPQueues),
 		contract: []check{conserved, strictPriority},
 	},
 	{
 		name: "sppifo", scored: true, ceiling: 0.80, monotone: ViolationSPPIFOBound,
-		build: func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewSPPIFO(cfg, sppifoQueues), nil
-		},
+		build:    deployed(core.BackendSPPIFO),
 		contract: []check{conserved, inversionBound},
 	},
 	{
@@ -142,16 +130,12 @@ var targets = []target{
 		// Without buffer pressure the quantile admission test always
 		// passes, so AIFO must behave exactly like a plain FIFO.
 		name: "aifo", scored: true,
-		build: func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewAIFO(sched.AIFOConfig{Config: cfg}), nil
-		},
+		build:    deployed(core.BackendAIFO),
 		contract: []check{noDrops, conserved, arrivalOrder},
 	},
 	{
 		name: "admission", scored: true, ceiling: 0.75, monotone: ViolationAdmissionBound,
-		build: func(_ *Scenario, cfg sched.Config) (sched.Scheduler, error) {
-			return sched.NewAdmission(sched.AdmissionConfig{Config: cfg}), nil
-		},
+		build:    deployed(core.BackendAdmission),
 		contract: []check{noDrops, conserved, inversionBound},
 	},
 }
@@ -162,13 +146,21 @@ func bucketWidth(sc *Scenario, n int) int64 {
 	return sched.BucketWidth(sc.Joint.Output.Span()+2, n)
 }
 
-// deploySPQueues deploys the joint policy's static queue mapping with one
-// queue per strict tier, and at least eight.
-func deploySPQueues(sc *Scenario, cfg sched.Config) (*core.Deployment, error) {
-	return sc.Joint.Deploy(core.BackendSPQueues, core.DeployOptions{
-		Queues: max(8, len(sc.Joint.Tiers)),
-		Sched:  cfg,
-	})
+// deploy deploys the scenario's joint policy onto b with one queue per
+// strict tier, and at least eight.
+func deploy(sc *Scenario, b core.Backend, cfg sched.Config) (*core.Deployment, error) {
+	return sc.Joint.Deploy(b, core.DeployOptions{Queues: max(8, len(sc.Joint.Tiers)), Sched: cfg})
+}
+
+// deployed is the build of a row whose scheduler is a deployment of b.
+func deployed(b core.Backend) buildFn {
+	return func(sc *Scenario, cfg sched.Config) (sched.Scheduler, error) {
+		dep, err := deploy(sc, b, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return dep.Scheduler, nil
+	}
 }
 
 // buildPIFOTree builds a one-level PIFO tree — one leaf per tenant plus

@@ -91,14 +91,15 @@ var backendTable = [numBackends]struct {
 			return onto(sched.NewAdmission(sched.AdmissionConfig{Config: o.Sched, Queues: o.Queues}))
 		}},
 	// A software structure, not a hardware queue bank: the ring is fixed
-	// at 1024 buckets regardless of opts.Queues, and the width stretches
-	// the joint output range (plus the UnknownWorst rank) across the
-	// horizon so steady traffic never touches the overflow FIFO.
+	// at sched.DefaultBucketQBuckets regardless of opts.Queues, and the
+	// width stretches the joint output range (plus the UnknownWorst rank)
+	// across the horizon so steady traffic never touches the overflow
+	// FIFO.
 	BackendBucketQ: {name: "bucketq",
 		needs: hasQueueBank,
 		build: func(jp *JointPolicy, o DeployOptions) (*Deployment, error) {
-			width := sched.BucketWidth(jp.Output.Span()+2, bucketQDeployBuckets)
-			return onto(sched.NewBucketQ(o.Sched, bucketQDeployBuckets, width))
+			width := sched.BucketWidth(jp.Output.Span()+2, sched.DefaultBucketQBuckets)
+			return onto(sched.NewBucketQ(o.Sched, sched.DefaultBucketQBuckets, width))
 		}},
 }
 
@@ -135,11 +136,6 @@ func (b Backend) String() string {
 	}
 	return backendTable[b].name
 }
-
-// bucketQDeployBuckets is the ring size BackendBucketQ deploys with: 1024
-// buckets keeps the quantization granularity at ≤0.1% of the output range
-// while the two-level bitmap still covers the ring in one summary word.
-const bucketQDeployBuckets = 1024
 
 // DeployOptions tune the deployment.
 type DeployOptions struct {

@@ -75,6 +75,29 @@ func (t Target) SupportedBackends() []Backend {
 	return out
 }
 
+// DefaultBackend maps the target to the backend it deploys without fidelity
+// measurements, by capability alone: the richest discipline the hardware
+// expresses wins. With measured replay-fidelity profiles, SelectBackend
+// over SupportedBackends refines the choice.
+func (t Target) DefaultBackend() Backend {
+	switch {
+	case t.Sorted:
+		return BackendPIFO
+	case t.Admission && t.Queues > 1:
+		return BackendAdmission
+	case t.Admission:
+		return BackendAIFO
+	case t.Queues >= 64:
+		// A queue bank that deep is a software scheduler (smart NIC, DPDK
+		// host), where the O(1) FFS bucket queue beats a static SP split.
+		return BackendBucketQ
+	case t.Queues > 1:
+		return BackendSPQueues
+	default:
+		return BackendFIFO
+	}
+}
+
 // SelectBackend returns the highest-scoring profile whose backend passes
 // the feasible filter (nil = all feasible). Ties break toward the lower
 // enum value, so selection is deterministic for equal measurements. The

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -52,6 +53,46 @@ func TestSupportedBackends(t *testing.T) {
 		sortBackends(want)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: SupportedBackends() = %v, want %v", c.name, got, want)
+		}
+	}
+}
+
+// TestDefaultBackendIsSupported walks a grid of device targets: every one
+// CompileTo accepts defaults to a backend it supports and that deploys.
+// The named targets pin the decision itself.
+func TestDefaultBackendIsSupported(t *testing.T) {
+	jp := twoTierPolicy(t)
+	for _, sorted := range []bool{false, true} {
+		for _, admission := range []bool{false, true} {
+			for _, queues := range []int{0, 1, 2, 8, 63, 64, 4096} {
+				target := Target{Sorted: sorted, Admission: admission, Queues: queues, RankRewrite: true}
+				if _, err := jp.CompileTo(target); err != nil {
+					continue
+				}
+				b := target.DefaultBackend()
+				if !slices.Contains(target.SupportedBackends(), b) {
+					t.Errorf("%+v: DefaultBackend %v not in SupportedBackends %v", target, b, target.SupportedBackends())
+				}
+				if _, err := jp.Deploy(b, DeployOptions{Queues: queues}); err != nil {
+					t.Errorf("%+v: DefaultBackend %v does not deploy: %v", target, b, err)
+				}
+			}
+		}
+	}
+	cases := []struct {
+		target Target
+		want   Backend
+	}{
+		{TargetPIFO, BackendPIFO},
+		{TargetCommodity8Q, BackendSPQueues},
+		{Target{Name: "aifo", Queues: 1, Admission: true}, BackendAIFO},
+		{Target{Name: "admission-bank", Queues: 8, Admission: true}, BackendAdmission},
+		{Target{Name: "software", Queues: 64}, BackendBucketQ},
+		{Target{Name: "dumb", Queues: 1}, BackendFIFO},
+	}
+	for _, c := range cases {
+		if got := c.target.DefaultBackend(); got != c.want {
+			t.Errorf("%s: DefaultBackend() = %v, want %v", c.target.Name, got, c.want)
 		}
 	}
 }

@@ -14,20 +14,15 @@ type BackendResult struct {
 
 // AblationBackends (A4) runs the QVISOR pfabric>>edf policy deployed on
 // each hardware model of §3.4 — the ideal PIFO and the commodity
-// approximations — under the same workload, quantifying what each
-// "existing scheduler" costs relative to the PIFO the paper evaluates on.
+// approximations, every backend but the rank-blind FIFO, in enum order —
+// under the same workload, quantifying what each "existing scheduler"
+// costs relative to the PIFO the paper evaluates on.
 func AblationBackends(cfg Config, load float64) ([]BackendResult, error) {
-	backends := []core.Backend{
-		core.BackendPIFO,
-		core.BackendSPQueues,
-		core.BackendSPPIFO,
-		core.BackendCalendar,
-		core.BackendBucketQ,
-		core.BackendAIFO,
-		core.BackendAdmission,
-	}
 	var out []BackendResult
-	for _, b := range backends {
+	for _, b := range core.Backends() {
+		if b == core.BackendFIFO {
+			continue
+		}
 		c := cfg
 		c.Backend = b
 		if c.Queues == 0 {

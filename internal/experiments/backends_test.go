@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,21 +38,5 @@ func TestBackendDigests(t *testing.T) {
 		fmt.Fprintf(&b, "%-10s %016x delivered=%d dropped=%d flows=%d\n",
 			backend, h.Sum64(), r.Counters.Delivered, r.Counters.Dropped, r.Flows)
 	}
-	path := filepath.Join("testdata", "backend_digests.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test -run %s -update` to create it)", err, t.Name())
-	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("backend digests drifted from %s:\n--- got\n%s--- want\n%s", path, got, want)
-	}
+	matchGolden(t, "backend_digests.golden", b.String())
 }

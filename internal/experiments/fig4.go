@@ -338,7 +338,11 @@ func run(cfg Config, scheme Scheme, load float64) (Result, netsim.Sim, error) {
 	switch scheme {
 	case FIFOBoth:
 		ncfg.Scheduler = func(d sched.DropFn) sched.Scheduler {
-			return sched.NewFIFO(sched.Config{OnDrop: d})
+			s, err := sched.New("fifo", sched.Config{OnDrop: d})
+			if err != nil {
+				panic(err) // a fixed, valid spec; cannot fail
+			}
+			return s
 		}
 	case PIFONaive, PIFOIdeal:
 		// Default PIFO, no pre-processing: raw tenant ranks compete.

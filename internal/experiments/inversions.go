@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 
+	"qvisor/internal/conform"
 	"qvisor/internal/core"
 	"qvisor/internal/pkt"
 	"qvisor/internal/policy"
 	"qvisor/internal/rank"
 	"qvisor/internal/sched"
-	"qvisor/internal/trace"
 )
 
 // InversionResult reports how faithfully one scheduler realizes the joint
@@ -33,25 +33,18 @@ type InversionResult struct {
 // (two tenants sharing under the joint policy, randomized enqueue/dequeue
 // interleaving) through each scheduler and measures its inversion rate
 // against a rank oracle. The ideal PIFO scores zero by construction;
-// approximations trade inversions for hardware simplicity (§3.4).
+// approximations trade inversions for hardware simplicity (§3.4). Each
+// scheduler replays through the conformance sweeps' loop, so its backlog
+// is capped at the sweeps' 64 packets.
 //
 // The trace is drawn from a private deterministic source derived from seed,
-// so concurrent studies never share RNG state; use InversionStudyRng to
-// inject the source explicitly.
-func InversionStudy(packets int, seed int64) ([]InversionResult, error) {
-	return InversionStudyRng(packets, rand.New(rand.NewSource(seed)))
-}
-
-// InversionStudyRng is InversionStudy with an explicit random source. The
-// caller owns rng; passing sources seeded identically yields byte-identical
-// results.
-func InversionStudyRng(count int, rng *rand.Rand) ([]InversionResult, error) {
+// so concurrent studies never share RNG state and one seed always yields
+// the same results.
+func InversionStudy(count int, seed int64) ([]InversionResult, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive packet count")
 	}
-	if rng == nil {
-		return nil, fmt.Errorf("experiments: nil rng")
-	}
+	rng := rand.New(rand.NewSource(seed))
 	// Joint policy: two sharing tenants with heterogeneous rank scales.
 	tenants := []*core.Tenant{
 		{ID: 1, Name: "a", Bounds: rank.Bounds{Lo: 0, Hi: 1 << 20}, Levels: 1 << 10},
@@ -63,108 +56,48 @@ func InversionStudyRng(count int, rng *rand.Rand) ([]InversionResult, error) {
 	}
 	pp := core.NewPreprocessor(jp, core.UnknownWorst)
 
-	// Pre-generate the transformed trace so every scheduler sees
-	// identical input.
-	packets := make([]*pkt.Packet, count)
-	for i := range packets {
-		p := &pkt.Packet{
-			ID:     uint64(i),
-			Tenant: pkt.TenantID(1 + rng.Intn(2)),
-			Size:   1500,
-		}
+	// Pre-generate the transformed trace and the randomized service
+	// pattern so every scheduler sees identical input.
+	sc := &conform.Scenario{Trace: make([]pkt.Packet, count), Serve: make([]bool, count)}
+	for i := range sc.Trace {
+		p := &sc.Trace[i]
+		*p = pkt.Packet{ID: uint64(i), Tenant: pkt.TenantID(1 + rng.Intn(2)), Size: 1500}
 		if p.Tenant == 1 {
 			p.Rank = int64(rng.Intn(1 << 20))
 		} else {
 			p.Rank = int64(rng.Intn(10001))
 		}
 		pp.Process(p)
-		packets[i] = p
 	}
-	// Identical randomized service pattern; occupancy is additionally
-	// bounded to ~64 packets so the rates reflect realistic queue depths
-	// rather than unbounded backlogs.
-	serve := make([]bool, count)
-	for i := range serve {
-		serve[i] = rng.Intn(2) == 0
+	for i := range sc.Serve {
+		sc.Serve[i] = rng.Intn(2) == 0
 	}
-	const maxOccupancy = 64
 
-	builders := []struct {
-		name  string
-		build func(drop sched.DropFn) sched.Scheduler
+	span := jp.Output.Span()
+	rows := []struct {
+		name, spec string
+		capacity   int
 	}{
-		{"pifo", func(d sched.DropFn) sched.Scheduler {
-			return sched.NewPIFO(sched.Config{CapacityBytes: 1 << 30, OnDrop: d})
-		}},
-		{"sppifo:8", func(d sched.DropFn) sched.Scheduler {
-			return sched.NewSPPIFO(sched.Config{CapacityBytes: 1 << 30, OnDrop: d}, 8)
-		}},
-		{"sppifo:32", func(d sched.DropFn) sched.Scheduler {
-			return sched.NewSPPIFO(sched.Config{CapacityBytes: 1 << 30, OnDrop: d}, 32)
-		}},
-		{"calendar:32", func(d sched.DropFn) sched.Scheduler {
-			width := sched.BucketWidth(jp.Output.Span(), 32)
-			return sched.NewCalendar(sched.Config{CapacityBytes: 1 << 30, OnDrop: d}, 32, width)
-		}},
-		{"bucketq:128", func(d sched.DropFn) sched.Scheduler {
-			width := sched.BucketWidth(jp.Output.Span(), 128)
-			return sched.NewBucketQ(sched.Config{CapacityBytes: 1 << 30, OnDrop: d}, 128, width)
-		}},
-		{"aifo", func(d sched.DropFn) sched.Scheduler {
-			return sched.NewAIFO(sched.AIFOConfig{Config: sched.Config{CapacityBytes: 256 * 1500, OnDrop: d}})
-		}},
-		{"admission:8", func(d sched.DropFn) sched.Scheduler {
-			return sched.NewAdmission(sched.AdmissionConfig{
-				Config: sched.Config{CapacityBytes: 256 * 1500, OnDrop: d},
-			})
-		}},
-		{"fifo", func(d sched.DropFn) sched.Scheduler {
-			return sched.NewFIFO(sched.Config{CapacityBytes: 1 << 30, OnDrop: d})
-		}},
+		{"pifo", "pifo", 1 << 30},
+		{"sppifo:8", "sppifo:8", 1 << 30},
+		{"sppifo:32", "sppifo:32", 1 << 30},
+		{"calendar:32", fmt.Sprintf("calendar:32:%d", sched.BucketWidth(span, 32)), 1 << 30},
+		{"bucketq:128", fmt.Sprintf("bucketq:128,%d", span), 1 << 30},
+		{"aifo", "aifo", 256 * 1500},
+		{"admission:8", "admission:8", 256 * 1500},
+		{"fifo", "fifo", 1 << 30},
 	}
-
-	// Per-run packet copies come from a pool that is drained back between
-	// schedulers: the drop callback releases refused packets, the dequeue
-	// loop releases serviced ones.
-	pool := pkt.NewPool()
-	release := func(p *pkt.Packet, _ sched.DropCause) { pool.Put(p) }
-
-	var out []InversionResult
-	for _, b := range builders {
-		s := b.build(release)
-		res := InversionResult{Scheduler: b.name}
-		counter := trace.NewInversionCounter()
-		for i, p := range packets {
-			cp := pool.Get()
-			*cp = *p // schedulers may be destructive; copy per run
-			if s.Enqueue(cp) {
-				counter.OnEnqueue(cp.Rank)
-			} else {
-				res.Drops++
-			}
-			for serveOne := serve[i] || s.Len() > maxOccupancy; serveOne; serveOne = s.Len() > maxOccupancy {
-				got := s.Dequeue()
-				if got == nil {
-					break
-				}
-				counter.OnDequeue(got.Rank)
-				pool.Put(got)
-			}
+	out := make([]InversionResult, len(rows))
+	for i, row := range rows {
+		res := &out[i]
+		res.Scheduler = row.name
+		res.Dequeues, res.Inversions, res.Drops, err = conform.ReplayInversions(sc, row.spec, row.capacity)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", row.name, err)
 		}
-		for got := s.Dequeue(); got != nil; got = s.Dequeue() {
-			counter.OnDequeue(got.Rank)
-			pool.Put(got)
-		}
-		res.Dequeues = counter.Dequeues
-		res.Inversions = counter.Inversions
-		if n := pool.Outstanding(); n != 0 {
-			return nil, fmt.Errorf("experiments: %s leaked %d packets", b.name, n)
-		}
-		pool.Reset()
 		if res.Dequeues > 0 {
 			res.Rate = float64(res.Inversions) / float64(res.Dequeues)
 		}
-		out = append(out, res)
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -17,7 +16,7 @@ func TestInversionPropertyAcrossSeeds(t *testing.T) {
 	}
 	const packets = 5000
 	for seed := int64(0); seed < 8; seed++ {
-		results, err := InversionStudyRng(packets, rand.New(rand.NewSource(seed)))
+		results, err := InversionStudy(packets, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,29 +39,18 @@ func TestInversionPropertyAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestInversionStudyRngDeterminism: equivalent sources produce
-// byte-identical studies, and the seed-based wrapper matches the explicit
-// form — the contract that lets the runner fan studies out over workers.
-func TestInversionStudyRngDeterminism(t *testing.T) {
-	a, err := InversionStudyRng(3000, rand.New(rand.NewSource(11)))
+// TestInversionStudyDeterminism: the same seed produces a byte-identical
+// study — the contract that lets the runner fan studies out over workers.
+func TestInversionStudyDeterminism(t *testing.T) {
+	a, err := InversionStudy(3000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := InversionStudyRng(3000, rand.New(rand.NewSource(11)))
+	b, err := InversionStudy(3000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("identical sources produced different studies")
-	}
-	c, err := InversionStudy(3000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, c) {
-		t.Fatal("seed wrapper diverged from explicit rng")
-	}
-	if _, err := InversionStudyRng(100, nil); err == nil {
-		t.Fatal("nil rng accepted")
+		t.Fatal("identical seeds produced different studies")
 	}
 }

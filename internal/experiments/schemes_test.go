@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -120,18 +118,5 @@ func TestSchemeDigests(t *testing.T) {
 		sum, totals := schemeDigest(t, cfg, rw.scheme, 0.6)
 		fmt.Fprintf(&b, "%-24s shards=%d %016x %s\n", rw.scheme, rw.shards, sum, totals)
 	}
-	path := filepath.Join("testdata", "scheme_digests.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test -run %s -update` to create it)", err, t.Name())
-	}
-	if got := b.String(); got != string(want) {
-		t.Errorf("scheme digests drifted from %s:\n--- got\n%s--- want\n%s", path, got, want)
-	}
+	matchGolden(t, "scheme_digests.golden", b.String())
 }

@@ -99,7 +99,7 @@ func Plan(jp *core.JointPolicy, devices []Device) (*FabricPlan, error) {
 		fp.Devices = append(fp.Devices, DevicePlan{
 			Device:  d,
 			Plan:    plan,
-			Backend: backendFor(d.Target),
+			Backend: d.Target.DefaultBackend(),
 		})
 		if !plan.Feasible {
 			fp.Feasible = false
@@ -121,35 +121,12 @@ func Plan(jp *core.JointPolicy, devices []Device) (*FabricPlan, error) {
 	return fp, nil
 }
 
-// backendFor maps a target description to the matching deployment backend
-// by capability alone (no fidelity measurements): the richest discipline
-// the hardware expresses wins. PlanWithProfiles refines this choice with
-// measured replay-fidelity scores.
-func backendFor(t core.Target) core.Backend {
-	switch {
-	case t.Sorted:
-		return core.BackendPIFO
-	case t.Admission && t.Queues > 1:
-		return core.BackendAdmission
-	case t.Admission:
-		return core.BackendAIFO
-	case t.Queues >= 64:
-		// A queue bank that deep is a software scheduler (smart NIC, DPDK
-		// host), where the O(1) FFS bucket queue beats a static SP split.
-		return core.BackendBucketQ
-	case t.Queues > 1:
-		return core.BackendSPQueues
-	default:
-		return core.BackendFIFO
-	}
-}
-
 // PlanWithProfiles is Plan with measured replay-fidelity profiles (see
 // conform.ReplayReport.Profiles): each device deploys the highest-scoring
-// backend among those its target can realize, instead of backendFor's
-// capability heuristic. Devices whose supported set intersects none of
-// the profiled backends keep the heuristic choice, so a partial sweep
-// still produces a full fabric plan.
+// backend among those its target can realize, instead of the target's
+// DefaultBackend. Devices whose supported set intersects none of the
+// profiled backends keep the default, so a partial sweep still produces a
+// full fabric plan.
 func PlanWithProfiles(jp *core.JointPolicy, devices []Device, profiles []core.FidelityProfile) (*FabricPlan, error) {
 	fp, err := Plan(jp, devices)
 	if err != nil {

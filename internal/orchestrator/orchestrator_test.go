@@ -109,23 +109,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-func TestBackendMapping(t *testing.T) {
-	cases := []struct {
-		target core.Target
-		want   core.Backend
-	}{
-		{core.TargetPIFO, core.BackendPIFO},
-		{core.TargetCommodity8Q, core.BackendSPQueues},
-		{core.Target{Name: "aifo", Queues: 1, Admission: true}, core.BackendAIFO},
-		{core.Target{Name: "dumb", Queues: 1}, core.BackendFIFO},
-	}
-	for _, c := range cases {
-		if got := backendFor(c.target); got != c.want {
-			t.Errorf("backendFor(%s) = %v, want %v", c.target.Name, got, c.want)
-		}
-	}
-}
-
 func TestDevicePlanDeploy(t *testing.T) {
 	jp := twoTenantPolicy(t)
 	fp, err := Plan(jp, []Device{

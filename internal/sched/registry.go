@@ -14,9 +14,12 @@ import (
 // words of 64 bits) covers. Constructors still panic on programmer error.
 const MaxQueues = 64 * 64
 
-// DefaultBucketQBuckets is the ring size a bare "bucketq" spec gets: 1024
-// single-rank buckets, deep enough that typical joint-policy output spans
-// fit the horizon without touching the overflow FIFO.
+// DefaultBucketQBuckets is the ring size of a bare "bucketq" spec and of a
+// bucket-queue deployment: 1024 buckets, deep enough that typical
+// joint-policy output spans fit the horizon without touching the overflow
+// FIFO, fine enough that a deployment's quantization granularity stays at
+// ≤0.1% of the output range, and still covered by one summary word of the
+// two-level bitmap.
 const DefaultBucketQBuckets = 1024
 
 // BucketWidth returns the rank width that lets n buckets (or queues) cover
