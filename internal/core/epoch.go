@@ -9,10 +9,11 @@ import (
 )
 
 // Epoch is one immutable published policy generation: the joint policy,
-// the rewrite table compiled from it (once, at publish), an optional
-// deployment, and an in-flight packet refcount. Everything except the
-// refcount is frozen at publish time; readers never see a
-// partially-updated epoch (the store swaps whole *Epoch pointers).
+// its rewrite table (the one the synthesizer laid out, or compiled once at
+// publish for a policy it did not lay out), an optional deployment, and an
+// in-flight packet refcount. Everything except the refcount is frozen at
+// publish time; readers never see a partially-updated epoch (the store
+// swaps whole *Epoch pointers).
 type Epoch struct {
 	// Gen is the generation number, strictly increasing across publishes.
 	Gen uint64
@@ -107,7 +108,7 @@ func NewEpochStore(action UnknownTenantAction) *EpochStore {
 // jp.Version when it keeps them strictly increasing, and self-increment
 // otherwise (e.g. policies synthesized outside the controller).
 func (s *EpochStore) Publish(jp *JointPolicy, d *Deployment) *Epoch {
-	tab := buildFlatTable(jp)
+	tab := jp.table()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	prev := s.cur.Load()

@@ -3,24 +3,27 @@ package core
 import (
 	"qvisor/internal/pkt"
 	"qvisor/internal/policy"
-	"qvisor/internal/rank"
 )
 
 // Resynthesizer produces the same joint policies as Synthesize while
 // memoizing per-tier results, so that a single-tenant change recompiles
 // only the tiers it touches. The unit of caching is one strict tier
-// synthesized relative to base 0 (tierSynth): tiers are laid out
-// contiguously and only Transform.Offset depends on where a tier lands,
-// so a cached tier is re-shifted by the running base during assembly and
-// the output is byte-identical to a full synthesis (proven by the
-// differential test over seeded churn sequences).
+// synthesized and compiled relative to base 0 (tierSynth): tiers are laid
+// out contiguously and only Transform.Offset and a slot's base depend on
+// where a tier lands, so a cached tier is re-shifted by the running base
+// during assembly and the output is byte-identical to a full synthesis
+// (proven by the differential test over seeded churn sequences), rewrite
+// table included.
 //
 // The cache key is a content hash over everything one tier's synthesis
 // consumes: the level structure, each tenant's share weight, and each
 // tenant's name, ID, resolved level count, and effective bounds. Any
 // change to a tier — a tenant's bounds drifting, a weight edit, a
 // structural rearrangement — changes its key and forces that tier (and
-// only that tier) to recompute; untouched tiers hit the cache.
+// only that tier) to recompute; untouched tiers hit the cache. The cache
+// holds exactly the tiers of the last generation assembled: each call
+// rebuilds it from its hits and misses, so a dead tier never outlives the
+// generation after it.
 //
 // Anything the fast path cannot prove valid (tenants out of spec order,
 // structural anomalies a full synthesis would reject, invalid options)
@@ -34,11 +37,12 @@ type Resynthesizer struct {
 	opts  SynthOptions // as given; defaults applied per call like Synthesize
 	cache map[tierKey]*tierSynth
 
-	// lastIdentity/lastByName reuse the previous ByName map when the
-	// (name, ID) sequence is unchanged — the common case of a bounds or
-	// weight edit — skipping the only O(tenants) string-keyed pass left.
-	lastIdentity uint64
-	lastByName   map[string]pkt.TenantID
+	// last is the table of the last generation assembled. The next
+	// generation shares its ID→slot index when it has the same IDs in the
+	// same order, and its ByName map when each tier names the same tenants
+	// too — the common case of a bounds or weight edit — skipping the only
+	// O(tenants) string-keyed pass left.
+	last *flatTable
 
 	// scratch buffers reused across calls.
 	keys   []tierKey
@@ -67,11 +71,6 @@ type tierKey struct {
 	n    int
 }
 
-// maxCachedTiers bounds the cache; on overflow the whole cache is
-// dropped and repopulated by subsequent calls (simple and O(1) amortized
-// — an LRU would buy little at control-plane rates).
-const maxCachedTiers = 4096
-
 // NewResynthesizer returns a memoizing synthesizer with the given
 // options. The options are fixed for the Resynthesizer's lifetime (they
 // feed the cache keys implicitly).
@@ -83,10 +82,13 @@ func NewResynthesizer(opts SynthOptions) *Resynthesizer {
 func (rs *Resynthesizer) Stats() ResynthStats { return rs.stats }
 
 // full delegates to Synthesize, which reproduces the canonical error (or
-// result) for inputs the fast path would not certify.
+// result) for inputs the fast path would not certify. The generation it
+// makes is not assembled from cached tiers, so the cache and the reuse
+// state start over.
 func (rs *Resynthesizer) full(tenants []*Tenant, spec *policy.Spec) (*JointPolicy, error) {
 	rs.stats.Full++
-	rs.lastByName = nil // conservatively drop map reuse across anomalies
+	clear(rs.cache)
+	rs.last = nil
 	return Synthesize(tenants, spec, rs.opts)
 }
 
@@ -114,7 +116,14 @@ func (rs *Resynthesizer) Resynthesize(tenants []*Tenant, spec *policy.Spec) (*Jo
 	}
 	keys := rs.keys[:len(spec.Tiers)]
 	counts := rs.counts[:len(spec.Tiers)]
-	identity := uint64(fnvOffset)
+	// The same walk compares the tenants, position by position, with the
+	// last generation's: its IDs in slot order and its tiers' names.
+	var prev []TierPlan
+	if rs.last != nil {
+		prev = rs.last.policy.Tiers
+	}
+	sameIDs := rs.last != nil && len(rs.last.ids) == len(tenants)+1
+	sameNames := rs.last != nil && len(prev) == len(spec.Tiers)
 	k := 0
 	for ti, tier := range spec.Tiers {
 		if len(tier.Levels) == 0 {
@@ -152,12 +161,13 @@ func (rs *Resynthesizer) Resynthesize(tenants []*Tenant, spec *policy.Spec) (*Jo
 				h = fnvU64(h, uint64(b.Hi))
 				h = fnvU64(h, uint64(lt))
 				h = fnvU64(h, uint64(lvl.WeightOf(i)))
-				identity = fnvStr(identity, name)
-				identity = fnvU64(identity, uint64(t.ID))
+				sameIDs = sameIDs && rs.last.ids[k+1] == t.ID
+				sameNames = sameNames && nt < len(prev[ti].Tenants) && prev[ti].Tenants[nt] == name
 				k++
 				nt++
 			}
 		}
+		sameNames = sameNames && nt == len(prev[ti].Tenants)
 		keys[ti] = tierKey{hash: h, n: nt}
 		counts[ti] = nt
 	}
@@ -168,12 +178,13 @@ func (rs *Resynthesizer) Resynthesize(tenants []*Tenant, spec *policy.Spec) (*Jo
 	}
 
 	// ByName: reuse the previous map when the (name, ID) sequence is
-	// unchanged (its content would be rebuilt identically; JointPolicy
-	// maps are read-only once published). Otherwise rebuild with the
-	// duplicate checks a full synthesis performs.
-	byName := rs.lastByName
-	reuse := byName != nil && identity == rs.lastIdentity
-	if !reuse {
+	// exactly the last one (its content would be rebuilt identically;
+	// JointPolicy maps are read-only once published). Otherwise rebuild
+	// with the duplicate checks a full synthesis performs.
+	var byName map[string]pkt.TenantID
+	if sameIDs && sameNames {
+		byName = rs.last.policy.ByName
+	} else {
 		byName = make(map[string]pkt.TenantID, len(tenants))
 		seenID := make(map[pkt.TenantID]bool, len(tenants))
 		for _, t := range tenants {
@@ -188,15 +199,10 @@ func (rs *Resynthesizer) Resynthesize(tenants []*Tenant, spec *policy.Spec) (*Jo
 		}
 	}
 
-	// Assembly: shift each tier (cached or freshly synthesized) onto the
-	// running base.
-	jp := &JointPolicy{
-		Spec:       spec,
-		Transforms: make(map[pkt.TenantID]Transform, len(tenants)),
-		ByName:     byName,
-		Tiers:      make([]TierPlan, 0, len(spec.Tiers)),
-	}
-	base := opts.Base
+	// Each tier cached or freshly synthesized; the tiers used make up the
+	// next cache.
+	next := make(map[tierKey]*tierSynth, len(spec.Tiers))
+	tiers := make([]*tierSynth, 0, len(spec.Tiers))
 	k = 0
 	for ti, tier := range spec.Tiers {
 		ts, ok := rs.cache[keys[ti]]
@@ -209,27 +215,19 @@ func (rs *Resynthesizer) Resynthesize(tenants []*Tenant, spec *policy.Spec) (*Jo
 				// Unreachable: the hashing walk performed the same calls.
 				return rs.full(tenants, spec)
 			}
-			if len(rs.cache) >= maxCachedTiers {
-				rs.cache = make(map[tierKey]*tierSynth)
-			}
-			rs.cache[keys[ti]] = ts
 			rs.stats.TierMisses++
 		}
+		next[keys[ti]] = ts
+		tiers = append(tiers, ts)
 		k += counts[ti]
-		for i, id := range ts.ids {
-			tr := ts.rel[i]
-			tr.Offset += base
-			jp.Transforms[id] = tr
-		}
-		jp.Tiers = append(jp.Tiers, TierPlan{
-			Bounds:  rank.Bounds{Lo: base, Hi: base + ts.width - 1},
-			Tenants: ts.names,
-		})
-		base += ts.width
 	}
-	jp.Output = rank.Bounds{Lo: opts.Base, Hi: base - 1}
-	rs.lastIdentity = identity
-	rs.lastByName = byName
+	rs.cache = next
+	var same *flatTable
+	if sameIDs {
+		same = rs.last
+	}
+	jp := assemble(spec, tiers, opts.Base, byName, same)
+	rs.last = jp.tab
 	return jp, nil
 }
 
@@ -237,8 +235,8 @@ func (rs *Resynthesizer) Resynthesize(tenants []*Tenant, spec *policy.Spec) (*Jo
 // splitmix64-style round for integers. The hashing walk runs on every
 // recompilation, so the integer path is three multiplies instead of
 // FNV's eight byte rounds — it showed up as a third of the incremental
-// profile before. Both are order-sensitive; a 64-bit key over a cache
-// capped at 4096 entries makes accidental collisions (which the n guard
+// profile before. Both are order-sensitive; a 64-bit key over a cache of
+// one generation's tiers makes accidental collisions (which the n guard
 // further narrows) negligible.
 const (
 	fnvOffset uint64 = 14695981039346656037

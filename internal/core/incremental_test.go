@@ -273,8 +273,90 @@ func TestResynthesizeCacheBehavior(t *testing.T) {
 	}
 }
 
+// TestResynthesizeCacheHoldsLiveGeneration: over the differential test's
+// churn sequences, the cache never holds more tiers than the generation the
+// last call assembled, and a fallback to full synthesis empties it.
+func TestResynthesizeCacheHoldsLiveGeneration(t *testing.T) {
+	for seq := 0; seq < 60; seq++ {
+		rng := rand.New(rand.NewSource(int64(seq)))
+		st := &randomChurnState{rng: rng, nextID: 1}
+		for i := 0; i < 2+rng.Intn(10); i++ {
+			st.addTenant(t)
+		}
+		rs := NewResynthesizer(SynthOptions{})
+		for s := 0; s < 12; s++ {
+			st.mutate(t)
+			rs.Resynthesize(st.tenants, st.spec)
+			if len(rs.cache) > len(st.spec.Tiers) {
+				t.Fatalf("seq %d step %d: %d cached tiers for a %d-tier spec", seq, s, len(rs.cache), len(st.spec.Tiers))
+			}
+		}
+	}
+	tenants := []*Tenant{
+		{ID: 1, Name: "a", Bounds: rank.Bounds{Lo: 0, Hi: 100}},
+		{ID: 2, Name: "b", Bounds: rank.Bounds{Lo: 0, Hi: 100}},
+	}
+	rs := NewResynthesizer(SynthOptions{})
+	if _, err := rs.Resynthesize(tenants, policy.MustParse("a >> b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Resynthesize(tenants, policy.MustParse("b >> a")); err != nil {
+		t.Fatal(err)
+	}
+	if s := rs.Stats(); s.Full != 1 || len(rs.cache) != 0 || rs.last != nil {
+		t.Fatalf("after a fallback: %+v, %d cached tiers, last table kept %v", s, len(rs.cache), rs.last != nil)
+	}
+}
+
+// TestResynthesizeReusesOnlyExactSequences: a generation shares the last
+// one's ID→slot index when the IDs match position by position, and its
+// ByName map only when the names do too. Renames keep the IDs, so they
+// must get a fresh ByName and still equal a full synthesis.
+func TestResynthesizeReusesOnlyExactSequences(t *testing.T) {
+	tenant := func(id pkt.TenantID, name string) *Tenant {
+		return &Tenant{ID: id, Name: name, Bounds: rank.Bounds{Lo: 0, Hi: 100}}
+	}
+	steps := []struct {
+		tenants          []*Tenant
+		spec             string
+		sameIndex, names bool
+	}{
+		{[]*Tenant{tenant(1, "a"), tenant(2, "b")}, "a >> b", false, false},
+		{[]*Tenant{tenant(1, "a"), tenant(2, "b")}, "a >> b", true, true},
+		{[]*Tenant{tenant(1, "a"), tenant(2, "c")}, "a >> c", true, false},
+		{[]*Tenant{tenant(1, "c"), tenant(2, "a")}, "c >> a", true, false},
+		{[]*Tenant{tenant(1, "c"), tenant(2, "a")}, "c + a", true, false},
+		{[]*Tenant{tenant(2, "c"), tenant(1, "a")}, "c + a", false, false},
+	}
+	rs := NewResynthesizer(SynthOptions{})
+	var last *JointPolicy
+	for i, st := range steps {
+		spec := policy.MustParse(st.spec)
+		got, err := rs.Resynthesize(st.tenants, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Synthesize(st.tenants, spec, SynthOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !policiesEqual(got, want) {
+			t.Fatalf("step %d (%s): ByName %v, want %v", i, st.spec, got.ByName, want.ByName)
+		}
+		if last != nil {
+			if shared := &got.tab.index[0] == &last.tab.index[0]; shared != st.sameIndex {
+				t.Errorf("step %d (%s): index shared %v, want %v", i, st.spec, shared, st.sameIndex)
+			}
+			if reused := reflect.ValueOf(got.ByName).UnsafePointer() == reflect.ValueOf(last.ByName).UnsafePointer(); reused != st.names {
+				t.Errorf("step %d (%s): ByName reused %v, want %v", i, st.spec, reused, st.names)
+			}
+		}
+		last = got
+	}
+}
+
 // benchPolicy builds an n-tenant policy across 32-wide shared tiers.
-func benchPolicy(b *testing.B, n int) ([]*Tenant, *policy.Spec) {
+func benchPolicy(b testing.TB, n int) ([]*Tenant, *policy.Spec) {
 	tenants := make([]*Tenant, n)
 	var sb strings.Builder
 	for i := range tenants {

@@ -40,8 +40,12 @@ type tierPlanJSON struct {
 	Tenants []string `json:"tenants"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler. A policy whose spec, names and
+// transforms disagree (see consistent) is an error, not a partial encoding.
 func (jp *JointPolicy) MarshalJSON() ([]byte, error) {
+	if err := consistent(jp.Spec, jp.ByName, jp.Transforms); err != nil {
+		return nil, err
+	}
 	out := jointPolicyJSON{
 		Spec:    jp.Spec.String(),
 		Version: jp.Version,
@@ -50,10 +54,7 @@ func (jp *JointPolicy) MarshalJSON() ([]byte, error) {
 	}
 	// Deterministic order: spec order.
 	for _, name := range jp.Spec.Tenants() {
-		id, ok := jp.ByName[name]
-		if !ok {
-			continue
-		}
+		id := jp.ByName[name]
 		tr := jp.Transforms[id]
 		out.Transforms = append(out.Transforms, transformJSON{
 			Tenant: uint16(id), Lo: tr.Lo, Hi: tr.Hi, Levels: tr.Levels,
@@ -69,7 +70,10 @@ func (jp *JointPolicy) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It fails closed: a policy
+// whose spec, names and transforms disagree, or that lists one tenant's
+// transform twice, is rejected and leaves jp as it was. A decoded policy
+// carries no rewrite table; one is compiled from its transforms.
 func (jp *JointPolicy) UnmarshalJSON(data []byte) error {
 	var in jointPolicyJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -79,26 +83,63 @@ func (jp *JointPolicy) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: joint policy spec: %w", err)
 	}
-	jp.Spec = spec
-	jp.Version = in.Version
-	jp.Output = rank.Bounds{Lo: in.Output[0], Hi: in.Output[1]}
-	jp.Transforms = make(map[pkt.TenantID]Transform, len(in.Transforms))
-	jp.ByName = make(map[string]pkt.TenantID, len(in.Names))
+	out := JointPolicy{
+		Spec:       spec,
+		Version:    in.Version,
+		Output:     rank.Bounds{Lo: in.Output[0], Hi: in.Output[1]},
+		Transforms: make(map[pkt.TenantID]Transform, len(in.Transforms)),
+		ByName:     make(map[string]pkt.TenantID, len(in.Names)),
+	}
 	for _, tr := range in.Transforms {
-		jp.Transforms[pkt.TenantID(tr.Tenant)] = Transform{
+		id := pkt.TenantID(tr.Tenant)
+		if _, dup := out.Transforms[id]; dup {
+			return fmt.Errorf("core: joint policy: two transforms for label %d", id)
+		}
+		out.Transforms[id] = Transform{
 			Lo: tr.Lo, Hi: tr.Hi, Levels: tr.Levels,
 			Stride: tr.Stride, Phase: tr.Phase, Weight: tr.Weight, Offset: tr.Offset,
 		}
 	}
 	for name, id := range in.Names {
-		jp.ByName[name] = pkt.TenantID(id)
+		out.ByName[name] = pkt.TenantID(id)
 	}
-	jp.Tiers = jp.Tiers[:0]
+	if err := consistent(out.Spec, out.ByName, out.Transforms); err != nil {
+		return err
+	}
 	for _, tp := range in.Tiers {
-		jp.Tiers = append(jp.Tiers, TierPlan{
+		out.Tiers = append(out.Tiers, TierPlan{
 			Bounds:  rank.Bounds{Lo: tp.Lo, Hi: tp.Hi},
 			Tenants: tp.Tenants,
 		})
+	}
+	*jp = out
+	return nil
+}
+
+// consistent checks that a policy's spec, names and transforms describe
+// the same tenants: every spec tenant has a label, no two share one, every
+// label has a transform, and there are no other names or transforms.
+func consistent(spec *policy.Spec, byName map[string]pkt.TenantID, transforms map[pkt.TenantID]Transform) error {
+	if spec == nil {
+		return fmt.Errorf("core: joint policy without a spec")
+	}
+	owner := make(map[pkt.TenantID]string, len(byName))
+	for _, name := range spec.Tenants() {
+		id, ok := byName[name]
+		if !ok {
+			return fmt.Errorf("core: joint policy: spec tenant %q has no label", name)
+		}
+		if prev, dup := owner[id]; dup {
+			return fmt.Errorf("core: joint policy: tenants %q and %q share label %d", prev, name, id)
+		}
+		if _, ok := transforms[id]; !ok {
+			return fmt.Errorf("core: joint policy: tenant %q has no transform for label %d", name, id)
+		}
+		owner[id] = name
+	}
+	if len(byName) != len(owner) || len(transforms) != len(owner) {
+		return fmt.Errorf("core: joint policy: %d names and %d transforms for %d spec tenants",
+			len(byName), len(transforms), len(owner))
 	}
 	return nil
 }

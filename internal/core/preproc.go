@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"qvisor/internal/obs"
 	"qvisor/internal/pkt"
@@ -94,13 +94,16 @@ type flatTransform struct {
 // flatTable is the compiled joint policy, the only form the rewrite kernel
 // executes. It is total over pkt.TenantID: index maps the IDs in
 // [min, min+len(index)) to slots, and every other ID — like every gap in
-// that range — to slot 0, which stands for "no transform". A table is
-// immutable, so epochs, pre-processors and their shard clones share one.
+// that range — to slot 0, which stands for "no transform"; ids[slot] is the
+// tenant compiled into a slot. A table is immutable, so epochs,
+// pre-processors and their shard clones share one, and consecutive
+// synthesized generations over the same IDs share ids and index.
 type flatTable struct {
 	policy *JointPolicy
 	min    uint
 	index  []uint32
 	slots  []flatTransform
+	ids    []pkt.TenantID
 }
 
 // slot returns the table slot of a tenant ID, 0 when it has no transform.
@@ -111,46 +114,62 @@ func (t *flatTable) slot(id pkt.TenantID) uint32 {
 	return 0
 }
 
+// table returns the compiled form of jp: the one the synthesizer laid out,
+// or, for a policy it did not (decoded, hand-built, or a copy of a
+// synthesized one), a table compiled from the transform map.
+func (jp *JointPolicy) table() *flatTable {
+	if jp.tab != nil && jp.tab.policy == jp {
+		return jp.tab
+	}
+	return buildFlatTable(jp)
+}
+
 // buildFlatTable compiles the joint policy's transform map in one pass: slots
 // fill in iteration order, the index afterwards, once the ID range is known.
 func buildFlatTable(jp *JointPolicy) *flatTable {
 	n := len(jp.Transforms)
-	t := &flatTable{policy: jp, slots: make([]flatTransform, 1, n+1)}
-	ids := make([]pkt.TenantID, 1, n+1) // ids[slot] is the tenant compiled into it
-	min, max := pkt.TenantID(math.MaxUint16), pkt.TenantID(0)
+	t := &flatTable{policy: jp, slots: make([]flatTransform, 1, n+1), ids: make([]pkt.TenantID, 1, n+1)}
 	for id, tr := range jp.Transforms {
-		if id < min {
-			min = id
-		}
-		if id > max {
-			max = id
-		}
-		s := flatTransform{lo: tr.Lo, hi: tr.Hi, span: tr.Hi - tr.Lo, m: tr.Levels - 1,
-			w: tr.weight(), stride: tr.Stride, base: tr.Offset + tr.Phase}
-		if s.span <= 0 || s.m <= 0 {
-			// Degenerate quantizer: Quantize pins the level to 0, which
-			// Apply then clamps to Levels-1 when that is lower, so the
-			// output is one constant rank. Fold it into the base (with
-			// the same truncating div/mod Apply uses) and let the kernel
-			// quantize everything to level 0.
-			lvl := int64(0)
-			if s.m < 0 {
-				lvl = s.m
-			}
-			s.base += (lvl/s.w)*s.stride + lvl%s.w
-			s.span, s.m = 1, 0
-		}
-		s.floatQ = s.m > (1<<62)/(s.span+1)
-		t.slots = append(t.slots, s)
-		ids = append(ids, id)
+		t.slots = append(t.slots, compileTransform(tr))
+		t.ids = append(t.ids, id)
 	}
-	if n > 0 {
-		t.min, t.index = uint(min), make([]uint32, int(max-min)+1)
-		for slot := 1; slot <= n; slot++ {
-			t.index[ids[slot]-min] = uint32(slot)
-		}
-	}
+	t.min, t.index = indexSlots(t.ids)
 	return t
+}
+
+// compileTransform resolves one transform into a table slot.
+func compileTransform(tr Transform) flatTransform {
+	s := flatTransform{lo: tr.Lo, hi: tr.Hi, span: tr.Hi - tr.Lo, m: tr.Levels - 1,
+		w: tr.weight(), stride: tr.Stride, base: tr.Offset + tr.Phase}
+	if s.span <= 0 || s.m <= 0 {
+		// Degenerate quantizer: Quantize pins the level to 0, which
+		// Apply then clamps to Levels-1 when that is lower, so the
+		// output is one constant rank. Fold it into the base (with
+		// the same truncating div/mod Apply uses) and let the kernel
+		// quantize everything to level 0.
+		lvl := int64(0)
+		if s.m < 0 {
+			lvl = s.m
+		}
+		s.base += (lvl/s.w)*s.stride + lvl%s.w
+		s.span, s.m = 1, 0
+	}
+	s.floatQ = s.m > (1<<62)/(s.span+1)
+	return s
+}
+
+// indexSlots lays out the ID→slot index of a table whose slot k holds
+// ids[k] (ids[0], slot 0, is unused).
+func indexSlots(ids []pkt.TenantID) (uint, []uint32) {
+	if len(ids) < 2 {
+		return 0, nil
+	}
+	lo, hi := slices.Min(ids[1:]), slices.Max(ids[1:])
+	index := make([]uint32, int(hi-lo)+1)
+	for slot := 1; slot < len(ids); slot++ {
+		index[ids[slot]-lo] = uint32(slot)
+	}
+	return uint(lo), index
 }
 
 // preprocStage is the single-writer bookkeeping of one pre-processor, plain
@@ -263,7 +282,11 @@ type preprocObs struct {
 	slots   []preprocTenantObs
 }
 
+// preprocTenantObs is one slot's handles and the tenant, by ID and label,
+// they were resolved for.
 type preprocTenantObs struct {
+	id        pkt.TenantID
+	name      string
 	processed *obs.Counter
 	clamped   *obs.Counter
 	shift     *obs.Histogram
@@ -272,9 +295,10 @@ type preprocTenantObs struct {
 // EnableMetrics mirrors the pre-processor's counters into reg, labeled per
 // tenant. nameOf maps tenant IDs to the names used as label values; nil
 // falls back to "tenant-<id>". A nil registry disables instrumentation.
-// Counts are staged per packet and reach the registry on Flush; the handles
-// are re-resolved on every Update or Pin so re-synthesized policies keep
-// their series.
+// Counts are staged per packet and reach the registry on Flush; Update and
+// Pin keep the handles when every slot still holds the same tenant under
+// the same name and re-resolve them otherwise, so re-synthesized policies
+// keep their series.
 func (pp *Preprocessor) EnableMetrics(reg *obs.Registry, nameOf func(pkt.TenantID) string) {
 	var o *preprocObs
 	if reg != nil {
@@ -287,17 +311,23 @@ func (pp *Preprocessor) EnableMetrics(reg *obs.Registry, nameOf func(pkt.TenantI
 	pp.bind(pp.tab, o.forTable(pp.tab))
 }
 
-// forTable returns a copy of o (so shard clones sharing o are unaffected)
-// with its per-slot handles resolved for t; nil stays nil.
+// forTable returns o's instruments for t: o itself when every slot of t
+// holds the (ID, name) o resolved it for, otherwise a copy (so shard clones
+// sharing o are unaffected) with its per-slot handles resolved for t; nil
+// stays nil.
 func (o *preprocObs) forTable(t *flatTable) *preprocObs {
-	if o == nil {
-		return nil
+	if o == nil || o.covers(t) {
+		return o
 	}
 	c := *o
 	c.slots = make([]preprocTenantObs, len(t.slots))
-	for id := range t.policy.Transforms {
-		l := obs.L("tenant", c.nameOf(id))
-		c.slots[t.slot(id)] = preprocTenantObs{
+	for slot := 1; slot < len(t.slots); slot++ {
+		id := t.ids[slot]
+		name := c.nameOf(id)
+		l := obs.L("tenant", name)
+		c.slots[slot] = preprocTenantObs{
+			id:   id,
+			name: name,
 			processed: c.reg.Counter(MetricPreprocProcessed,
 				"Packets whose rank the pre-processor rewrote.", l),
 			clamped: c.reg.Counter(MetricPreprocClamped,
@@ -309,9 +339,23 @@ func (o *preprocObs) forTable(t *flatTable) *preprocObs {
 	return &c
 }
 
+// covers reports whether o's handles were resolved for exactly t's slots:
+// the same tenant ID in every slot, under the name nameOf gives it now.
+func (o *preprocObs) covers(t *flatTable) bool {
+	if len(o.slots) != len(t.slots) {
+		return false
+	}
+	for slot := 1; slot < len(t.slots); slot++ {
+		if h := &o.slots[slot]; h.id != t.ids[slot] || h.name != o.nameOf(h.id) {
+			return false
+		}
+	}
+	return true
+}
+
 // NewPreprocessor returns a pre-processor executing the given joint policy.
 func NewPreprocessor(jp *JointPolicy, action UnknownTenantAction) *Preprocessor {
-	return newPreprocessor(buildFlatTable(jp), action, nil)
+	return newPreprocessor(jp.table(), action, nil)
 }
 
 func newPreprocessor(t *flatTable, action UnknownTenantAction, o *preprocObs) *Preprocessor {
@@ -326,13 +370,13 @@ func (pp *Preprocessor) Policy() *JointPolicy { return pp.tab.policy }
 // Update deploys a new joint policy. Packets processed afterwards use the
 // new transformations — the event-driven reconfiguration of §2 (Idea 2).
 func (pp *Preprocessor) Update(jp *JointPolicy) {
-	t := buildFlatTable(jp)
+	t := jp.table()
 	pp.bind(t, pp.obs.forTable(t))
 }
 
 // Pin points the pre-processor at an already published policy generation,
-// sharing the table the epoch compiled instead of compiling another. A
-// no-op when it already executes that generation.
+// sharing the epoch's table instead of compiling another. A no-op when it
+// already executes that generation.
 func (pp *Preprocessor) Pin(e *Epoch) {
 	if pp.tab != e.tab {
 		pp.bind(e.tab, pp.obs.forTable(e.tab))

@@ -129,8 +129,12 @@ type Controller struct {
 	// put back if it fails, and the events to announce once it is live.
 	journal []undo
 	pending []Event
-	// list and stamp are generate's scratch, reused across compiles.
+	// list is the tenant set generate compiles, in spec order, and order
+	// their records as of the last complete walk of a transaction that did
+	// not roll back (empty otherwise; see refresh); stamp marks the records
+	// a walk has seen. All three are reused across compiles.
 	list  []*Tenant
+	order []*member
 	stamp uint64
 }
 
@@ -296,36 +300,12 @@ func (c *Controller) Observe(tenant pkt.TenantID, r int64) {
 // is installed and the version assigned once nothing can fail any more, so
 // an error leaves both, the counters and the epoch store as they were.
 func (c *Controller) generate(spec *policy.Spec) (*Epoch, error) {
-	// The tenants in spec order. Each record the spec names is stamped, so a
-	// registered tenant it leaves out shows as a stale stamp.
-	c.stamp++
-	list, named := c.list[:0], 0
-	for _, tier := range spec.Tiers {
-		for _, lvl := range tier.Levels {
-			for _, name := range lvl.Tenants {
-				m := c.members[name]
-				if m == nil {
-					return nil, fmt.Errorf("core: spec tenant %q not registered", name)
-				}
-				if m.stamp != c.stamp {
-					m.stamp = c.stamp
-					named++
-				}
-				list = append(list, m.tenant)
-			}
+	if !c.refresh(spec) {
+		if err := c.walk(spec); err != nil {
+			return nil, err
 		}
 	}
-	c.list = list
-	if named != len(c.members) {
-		var missing []string
-		for name, m := range c.members {
-			if m.stamp != c.stamp {
-				missing = append(missing, name)
-			}
-		}
-		return nil, fmt.Errorf("core: tenant %q missing from operator spec %q", slices.Min(missing), spec)
-	}
-	jp, err := c.resynth.Resynthesize(list, spec)
+	jp, err := c.resynth.Resynthesize(c.list, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -340,6 +320,71 @@ func (c *Controller) generate(spec *policy.Spec) (*Epoch, error) {
 	jp.Version = c.version
 	c.obs.resyntheses.Inc()
 	return c.epochs.Publish(jp, d), nil
+}
+
+// walk lists the tenants in spec order into c.list, and their records into
+// c.order. Each record the spec names is stamped, so a registered tenant it
+// leaves out shows as a stale stamp.
+func (c *Controller) walk(spec *policy.Spec) error {
+	c.stamp++
+	list, order, named := c.list[:0], c.order[:0], 0
+	for _, tier := range spec.Tiers {
+		for _, lvl := range tier.Levels {
+			for _, name := range lvl.Tenants {
+				m := c.members[name]
+				if m == nil {
+					return fmt.Errorf("core: spec tenant %q not registered", name)
+				}
+				if m.stamp != c.stamp {
+					m.stamp = c.stamp
+					named++
+				}
+				list, order = append(list, m.tenant), append(order, m)
+			}
+		}
+	}
+	c.list, c.order = list, order
+	if named != len(c.members) {
+		var missing []string
+		for name, m := range c.members {
+			if m.stamp != c.stamp {
+				missing = append(missing, name)
+			}
+		}
+		return fmt.Errorf("core: tenant %q missing from operator spec %q", slices.Min(missing), spec)
+	}
+	return nil
+}
+
+// refresh is walk's shortcut for a transaction that only rewrote records
+// already registered: no op joined a name (a join journals no record) and
+// the member count is the last walk's (so none left), so every record is
+// still where that walk found it. When spec names, position by position,
+// the tenants of that walk, c.list is re-read from c.order with one string
+// compare per position and no lookup. It reports false, having decided
+// nothing, on any other transaction or spec; the full walk then runs.
+func (c *Controller) refresh(spec *policy.Spec) bool {
+	if len(c.order) != len(c.members) {
+		return false
+	}
+	for _, u := range c.journal {
+		if u.rec == nil {
+			return false
+		}
+	}
+	k := 0
+	for _, tier := range spec.Tiers {
+		for _, lvl := range tier.Levels {
+			for _, name := range lvl.Tenants {
+				if k == len(c.order) || c.order[k].tenant.Name != name {
+					return false
+				}
+				c.list[k] = c.order[k].tenant
+				k++
+			}
+		}
+	}
+	return k == len(c.order)
 }
 
 // stage applies one op to the tenant set in place, journaling what it
@@ -411,13 +456,11 @@ func (c *Controller) commit(now sim.Time, ops []TenantOp, spec *policy.Spec, rea
 	if spec == nil {
 		spec = c.spec
 	}
-	e, err := c.generate(spec)
-	if err != nil {
+	if _, err := c.generate(spec); err != nil {
 		// The batch staged fine but did not compile: no item is at fault.
 		c.rollback()
 		return nil, err
 	}
-	c.pp.Pin(e)
 	c.pending = append(c.pending, Event{Kind: EventResynthesized, At: now, Detail: reason})
 	// A tenant joined and removed by the same batch has no final state to
 	// track; the membership events still tell the story.
@@ -445,9 +488,10 @@ func single(itemErrs []error, err error) error {
 }
 
 // rollback ends a transaction that failed: the journal is undone newest
-// first, so a name written twice ends on its oldest record, and the pending
-// events are dropped.
+// first, so a name written twice ends on its oldest record, the pending
+// events are dropped, and the walk the transaction made no longer counts.
 func (c *Controller) rollback() {
+	c.order = c.order[:0]
 	for i := len(c.journal) - 1; i >= 0; i-- {
 		if u := c.journal[i]; u.rec == nil {
 			delete(c.members, u.name)
@@ -466,11 +510,13 @@ func (c *Controller) end() {
 }
 
 // settle ends a transaction that went through: the id index catches up
-// with the journaled names, the gauges refresh, the pending events go out.
-// The index moves only here and in two passes — every label a written
-// record owned is released before any final label is claimed — so a failed
-// transaction never touches it, and an update onto another tenant's label,
-// which the compile rejects, cannot clobber that tenant's entry.
+// with the journaled names, the pre-processor is pinned to the live
+// generation (after the index, which its metric labels read), the gauges
+// refresh, the pending events go out. The index moves only here and in two
+// passes — every label a written record owned is released before any final
+// label is claimed — so a failed transaction never touches it, and an
+// update onto another tenant's label, which the compile rejects, cannot
+// clobber that tenant's entry.
 func (c *Controller) settle() {
 	for _, u := range c.journal {
 		if u.rec != nil && c.byID[u.saved.tenant.ID] == u.rec {
@@ -481,6 +527,9 @@ func (c *Controller) settle() {
 		if m := c.members[u.name]; m != nil {
 			c.byID[m.tenant.ID] = m
 		}
+	}
+	if c.pp != nil {
+		c.pp.Pin(c.epochs.Current())
 	}
 	if c.opts.Metrics != nil {
 		var flagged, quarantined int

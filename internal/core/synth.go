@@ -59,7 +59,10 @@ type TierPlan struct {
 
 // JointPolicy is the synthesizer's output: the joint scheduling function,
 // expressed as one rank transformation per tenant (§3.2), plus the layout
-// information deployment needs.
+// information deployment needs. A synthesized policy also carries its
+// compiled rewrite table, which the next re-synthesis builds on, so it is
+// read-only once synthesized; a decoded or hand-built policy, or a copy of
+// the struct, is compiled from Transforms where it is deployed.
 type JointPolicy struct {
 	// Spec is the operator policy the joint function realizes.
 	Spec *policy.Spec
@@ -73,6 +76,10 @@ type JointPolicy struct {
 	Output rank.Bounds
 	// Version is set by the runtime controller on re-synthesis.
 	Version uint64
+
+	// tab is the rewrite table the synthesizer laid out with the policy
+	// (nil for a policy it did not lay out; see table).
+	tab *flatTable
 }
 
 // TransformOf returns the transformation for a tenant name.
@@ -151,59 +158,103 @@ func Synthesize(tenants []*Tenant, spec *policy.Spec, opts SynthOptions) (*Joint
 		}
 	}
 
-	jp := &JointPolicy{
-		Spec:       spec,
-		Transforms: make(map[pkt.TenantID]Transform),
-		ByName:     make(map[string]pkt.TenantID),
-	}
-
-	base := opts.Base
+	names := make(map[string]pkt.TenantID)
+	tiers := make([]*tierSynth, 0, len(spec.Tiers))
 	var scratch []*Tenant
 	for _, tier := range spec.Tiers {
 		scratch = scratch[:0]
 		for _, lvl := range tier.Levels {
 			for _, name := range lvl.Tenants {
 				scratch = append(scratch, byName[name])
+				names[name] = byName[name].ID
 			}
 		}
 		ts, err := synthesizeTier(tier, scratch, opts)
 		if err != nil {
 			return nil, err
 		}
+		tiers = append(tiers, ts)
+	}
+	return assemble(spec, tiers, opts.Base, names, nil), nil
+}
+
+// assemble lays a generation out from its strict tiers, in spec order and
+// contiguously from base (strict isolation: each tier starts past the one
+// above it). Landing a tier on its base shifts its transforms' Offset and
+// its compiled slots' base by the same amount, so the policy's rewrite
+// table is the tiers' slots end to end: slot k+1 holds the k-th tenant of
+// the spec. same is the previous generation's table when the tenant IDs
+// are exactly its IDs in the same order, and nil otherwise; the new table
+// shares its ID→slot index, or lays one out anew.
+func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[string]pkt.TenantID, same *flatTable) *JointPolicy {
+	n := 0
+	for _, ts := range tiers {
+		n += len(ts.ids)
+	}
+	jp := &JointPolicy{
+		Spec:       spec,
+		Transforms: make(map[pkt.TenantID]Transform, n),
+		ByName:     byName,
+		Tiers:      make([]TierPlan, 0, len(tiers)),
+		Output:     rank.Bounds{Lo: base},
+	}
+	tab := &flatTable{policy: jp, slots: make([]flatTransform, 1, n+1)}
+	for _, ts := range tiers {
 		for i, id := range ts.ids {
 			tr := ts.rel[i]
 			tr.Offset += base
 			jp.Transforms[id] = tr
-			jp.ByName[ts.names[i]] = id
+		}
+		for _, s := range ts.flat {
+			s.base += base
+			tab.slots = append(tab.slots, s)
 		}
 		jp.Tiers = append(jp.Tiers, TierPlan{
 			Bounds:  rank.Bounds{Lo: base, Hi: base + ts.width - 1},
 			Tenants: ts.names,
 		})
-		base += ts.width // strict isolation: next tier starts past this one
+		base += ts.width
 	}
-	jp.Output = rank.Bounds{Lo: opts.Base, Hi: base - 1}
-	return jp, nil
+	jp.Output.Hi = base - 1
+	if same != nil {
+		tab.ids, tab.min, tab.index = same.ids, same.min, same.index
+	} else {
+		tab.ids = make([]pkt.TenantID, 1, n+1)
+		for _, ts := range tiers {
+			tab.ids = append(tab.ids, ts.ids...)
+		}
+		tab.min, tab.index = indexSlots(tab.ids)
+	}
+	jp.tab = tab
+	return jp
 }
 
 // tierSynth is one strict tier synthesized with its base at rank 0:
-// per-tenant transforms whose Offset is still tier-relative, the tier's
-// total band width, and the tenant names/IDs in preference order. Only
-// Transform.Offset depends on where the tier lands in the output range,
-// so shifting every Offset by the tier's absolute base reproduces exactly
-// what an in-place synthesis computes — which is what makes per-tier
-// results cacheable across re-syntheses (see incremental.go).
+// per-tenant transforms whose Offset is still tier-relative, the same
+// transforms compiled into rewrite-table slots, the tier's total band
+// width, and the tenant names/IDs in preference order. Only
+// Transform.Offset (and with it a slot's base) depends on where the tier
+// lands in the output range, so shifting both by the tier's absolute base
+// reproduces exactly what an in-place synthesis and compile compute —
+// which is what makes per-tier results cacheable across re-syntheses (see
+// incremental.go).
 type tierSynth struct {
 	width int64
 	names []string
 	ids   []pkt.TenantID
 	rel   []Transform
+	flat  []flatTransform
 }
 
 // synthesizeTier compiles one tier at base 0. ts holds the tier's tenants
 // in declaration order (levels concatenated), resolved by the caller.
 func synthesizeTier(tier policy.Tier, ts []*Tenant, opts SynthOptions) (*tierSynth, error) {
-	out := &tierSynth{}
+	out := &tierSynth{
+		names: make([]string, 0, len(ts)),
+		ids:   make([]pkt.TenantID, 0, len(ts)),
+		rel:   make([]Transform, 0, len(ts)),
+		flat:  make([]flatTransform, 0, len(ts)),
+	}
 	levelOffset := int64(0)
 	tierEnd := int64(0) // exclusive
 	k := 0
@@ -247,6 +298,7 @@ func synthesizeTier(tier policy.Tier, ts []*Tenant, opts SynthOptions) (*tierSyn
 				width = end
 			}
 			out.rel = append(out.rel, tr)
+			out.flat = append(out.flat, compileTransform(tr))
 			out.ids = append(out.ids, t.ID)
 			out.names = append(out.names, name)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -333,5 +334,56 @@ func TestJointPolicyUnmarshalErrors(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{"spec":">>"}`), &jp); err == nil {
 		t.Fatal("bad embedded spec accepted")
+	}
+}
+
+// TestJointPolicyUnmarshalFailsClosed: a policy whose spec, names and
+// transforms disagree is rejected, and the target is left as it was.
+func TestJointPolicyUnmarshalFailsClosed(t *testing.T) {
+	const tr = `{"tenant":%d,"lo":0,"hi":9,"levels":10,"stride":1,"phase":0,"offset":%d}`
+	body := func(spec, names string, trs ...string) string {
+		return fmt.Sprintf(`{"spec":%q,"output":[0,19],"names":{%s},"transforms":[%s]}`, spec, names, strings.Join(trs, ","))
+	}
+	t1, t2, t3 := fmt.Sprintf(tr, 1, 0), fmt.Sprintf(tr, 2, 10), fmt.Sprintf(tr, 3, 10)
+	if err := json.Unmarshal([]byte(body("a >> b", `"a":1,"b":2`, t1, t2)), new(JointPolicy)); err != nil {
+		t.Fatalf("consistent policy rejected: %v", err)
+	}
+	for name, in := range map[string]string{
+		"spec tenant without a name": body("a >> b", `"a":1`, t1, t2),
+		"name without a transform":   body("a >> b", `"a":1,"b":3`, t1, t2),
+		"one label under two names":  body("a >> b", `"a":1,"b":1`, t1),
+		"orphan transform":           body("a >> b", `"a":1,"b":2`, t1, t2, t3),
+		"name outside the spec":      body("a >> b", `"a":1,"b":2,"c":3`, t1, t2, t3),
+		"transform listed twice":     body("a >> b", `"a":1,"b":2`, t1, t2, t1),
+	} {
+		jp := epochTestPolicy(t, 3, 100)
+		before := jp.Describe()
+		if err := json.Unmarshal([]byte(in), jp); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if jp.Describe() != before || jp.Version != 3 {
+			t.Errorf("%s: rejected (%v) but the target changed", name, err)
+		}
+	}
+	if _, err := json.Marshal(&JointPolicy{Spec: policy.MustParse("a"), Transforms: map[pkt.TenantID]Transform{1: {}}}); err == nil {
+		t.Error("a policy with a nameless spec tenant encoded")
+	}
+}
+
+// TestJointPolicyUnmarshalDropsTable: decoding into a synthesized policy
+// replaces its rewrite table along with its transforms.
+func TestJointPolicyUnmarshalDropsTable(t *testing.T) {
+	wide := epochTestPolicy(t, 1, 1000)
+	data, err := json.Marshal(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := epochTestPolicy(t, 1, 10)
+	if err := json.Unmarshal(data, jp); err != nil {
+		t.Fatal(err)
+	}
+	p := &pkt.Packet{Tenant: 2, Rank: 500}
+	NewPreprocessor(jp, UnknownWorst).Process(p)
+	if want := wide.Transforms[2].Apply(500); p.Rank != want {
+		t.Fatalf("decoded policy rewrites rank 500 to %d, want %d", p.Rank, want)
 	}
 }
