@@ -32,6 +32,7 @@ func TestAblationQuantization(t *testing.T) {
 	if fine.Mean > coarse.Mean {
 		t.Errorf("fine quantization (%v) should not exceed coarse (%v)", fine.Mean, coarse.Mean)
 	}
+	pinResult(t, "quant", results)
 }
 
 func TestAblationQueues(t *testing.T) {
@@ -54,6 +55,7 @@ func TestAblationQueues(t *testing.T) {
 	if many.Mean > 2*few.Mean {
 		t.Errorf("32 queues (%v) dramatically worse than 2 (%v)", many.Mean, few.Mean)
 	}
+	pinResult(t, "queues", results)
 }
 
 func TestAblationRuntime(t *testing.T) {
@@ -74,6 +76,7 @@ func TestAblationRuntime(t *testing.T) {
 	if res.Resyntheses < 2 {
 		t.Errorf("controller never adapted (version=%d)", res.Resyntheses)
 	}
+	pinResult(t, "runtime", res)
 }
 
 func TestTrafficShift(t *testing.T) {
@@ -100,6 +103,7 @@ func TestTrafficShift(t *testing.T) {
 	if res.DeadlineMet < 0.9 {
 		t.Errorf("deadline-met fraction %.2f below 0.9", res.DeadlineMet)
 	}
+	pinResult(t, "shift", res)
 }
 
 func TestAblationBackends(t *testing.T) {
@@ -162,6 +166,7 @@ func TestMultiObjective(t *testing.T) {
 		t.Errorf("composite (%v) should not be worse than pure FQ (%v) for small flows",
 			byName["composite"].Small.Mean, byName["fq"].Small.Mean)
 	}
+	pinResult(t, "multi", results)
 }
 
 func TestInversionStudy(t *testing.T) {

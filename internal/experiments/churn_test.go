@@ -60,6 +60,7 @@ func TestChurnEpochContract(t *testing.T) {
 	if res.Resynth.Full != 0 {
 		t.Errorf("resynth fell back to full synthesis %d times: %+v", res.Resynth.Full, res.Resynth)
 	}
+	pinResult(t, "churn", res)
 }
 
 // TestChurnReportsPreprocStats: an Epochs-mode network runs every pinned

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,5 +55,60 @@ func matchGolden(t *testing.T, name, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("output drifted from %s:\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// experimentDigests holds one line per experiment test: a hash of the
+// test's full result.
+const experimentDigests = "experiment_digests.golden"
+
+// pinResult compares result with the line of testdata/experiment_digests.golden
+// that starts with key. The line holds the FNV-64a hash of result's JSON
+// encoding, which covers every exported field: the FCT summaries, the
+// counters, the resynthesis statistics and the epoch check (no result
+// type carries a wall-clock field). Each test owns its line, so the
+// experiment tests pin their runs without simulating anything twice;
+// -update rewrites only the caller's line.
+func pinResult(t *testing.T, key string, result any) {
+	t.Helper()
+	js, err := json.Marshal(result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(js)
+	line := fmt.Sprintf("%-8s %016x", key, h.Sum64())
+
+	path := filepath.Join("testdata", experimentDigests)
+	data, err := os.ReadFile(path)
+	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
+		t.Fatalf("%v (run `go test -run %s -update` to create it)", err, t.Name())
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(data) == 0 {
+		lines = nil
+	}
+	at := -1
+	for i, l := range lines {
+		if strings.HasPrefix(l, key+" ") {
+			at = i
+		}
+	}
+	if *updateGolden {
+		if at < 0 {
+			lines = append(lines, line)
+		} else {
+			lines[at] = line
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	switch {
+	case at < 0:
+		t.Errorf("%s has no %q line (run `go test -run %s -update` to add it)", path, key, t.Name())
+	case lines[at] != line:
+		t.Errorf("%s result drifted from %s:\n got %s\nwant %s\nresult %s", key, path, line, lines[at], js)
 	}
 }
