@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -93,6 +92,16 @@ func run(args []string) error {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), have %d", *workers)
 	}
 
+	// fig3 and inversions run no simulation, and churn's epoch check
+	// records its own unsampled trace: refuse the observer flags the
+	// experiment cannot honour rather than write an empty file.
+	switch {
+	case (*exp == "fig3" || *exp == "inversions") && (*sloOn || *metricsPath != "" || *tracePerfetto != ""):
+		return fmt.Errorf("-experiment %s runs no simulation: -slo, -metrics and -trace-perfetto do not apply", *exp)
+	case *exp == "churn" && *tracePerfetto != "":
+		return fmt.Errorf("-experiment churn records its own trace for the epoch check: -trace-perfetto does not apply")
+	}
+
 	cfg := experiments.ScaledConfig()
 	if *paper {
 		cfg = experiments.PaperConfig()
@@ -112,17 +121,9 @@ func run(args []string) error {
 	if traced {
 		cfg.Trace = trace.NewFlightRecorder(trace.Options{FlowSample: *traceSample, RingSize: 1 << 18})
 		defer func() {
-			events, _ := cfg.Trace.Snapshot(trace.AllEvents)
-			if n := cfg.Trace.Count(); n > uint64(len(events)) {
-				fmt.Fprintf(os.Stderr,
-					"qvisor-eval: trace ring wrapped, keeping the most recent %d of %d events; raise -trace-sample\n",
-					len(events), n)
-			}
-			if werr := writePerfettoFile(*tracePerfetto, events); werr != nil {
+			if werr := trace.ExportPerfetto(*tracePerfetto, cfg.Trace, os.Stderr); werr != nil {
 				fmt.Fprintln(os.Stderr, "qvisor-eval: perfetto trace:", werr)
-				return
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d events)\n", *tracePerfetto, len(events))
 		}()
 	}
 
@@ -266,8 +267,7 @@ func run(args []string) error {
 		return nil
 	case "churn":
 		ccfg := experiments.ScaledChurnConfig()
-		ccfg.Horizon = sim.Time(*horizon)
-		ccfg.Seed = *seed
+		ccfg.Config = cfg
 		// Keep the paper default of ~5k updates/sec at whatever horizon.
 		ccfg.Updates = int(float64(ccfg.Horizon) / float64(sim.Second) * 5000)
 		res, err := experiments.RunChurn(ccfg)
@@ -468,20 +468,6 @@ func writeTrialCSV(path string, trials []experiments.Trial) error {
 	}
 	w.Flush()
 	return w.Error()
-}
-
-// writePerfettoFile renders events as a Chrome trace-event JSON file.
-func writePerfettoFile(path string, events []trace.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if err := trace.WritePerfetto(w, events); err != nil {
-		return err
-	}
-	return w.Flush()
 }
 
 // writeSnapshot dumps the registry as indented JSON to path ("-" =

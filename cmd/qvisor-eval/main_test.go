@@ -91,3 +91,39 @@ func TestRunRejectsBadSeeds(t *testing.T) {
 		t.Fatal("negative -workers accepted")
 	}
 }
+
+// TestRunObserverFlags: an observer flag the experiment cannot feed is an
+// error, not an empty file — fig3 and inversions run no simulation, and
+// churn's epoch check keeps its own trace — while an experiment outside
+// Figure 4 fills the metrics snapshot.
+func TestRunObserverFlags(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.json")
+	for _, args := range [][]string{
+		{"-experiment", "fig3", "-slo"},
+		{"-experiment", "fig3", "-metrics", out},
+		{"-experiment", "inversions", "-trace-perfetto", out},
+		{"-experiment", "churn", "-trace-perfetto", out},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused run wrote %s (%v)", out, err)
+	}
+
+	if testing.Short() {
+		t.Skip("simulation run in -short mode")
+	}
+	if err := run([]string{"-experiment", "shift", "-horizon", "5ms", "-metrics", out}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"qvisor_netsim_`) {
+		t.Fatalf("shift metrics snapshot holds no qvisor_netsim_* family:\n%.300s", data)
+	}
+}

@@ -125,16 +125,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *tracePerfetto != "" {
-		events, _ := cfg.Trace.Snapshot(trace.AllEvents)
-		if n := cfg.Trace.Count(); n > uint64(len(events)) {
-			fmt.Fprintf(os.Stderr,
-				"trace: ring wrapped, keeping the most recent %d of %d events; raise -trace-sample\n",
-				len(events), n)
-		}
-		if err := writePerfetto(*tracePerfetto, events); err != nil {
+		if err := trace.ExportPerfetto(*tracePerfetto, cfg.Trace, os.Stderr); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "trace: %d events rendered to %s\n", len(events), *tracePerfetto)
 	}
 	fmt.Fprintf(out, "scheme:   %v\n", r.Scheme)
 	fmt.Fprintf(out, "load:     %.2f\n", r.Load)
@@ -162,18 +155,4 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writePerfetto renders events as a Chrome trace-event JSON file.
-func writePerfetto(path string, events []trace.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if err := trace.WritePerfetto(w, events); err != nil {
-		return err
-	}
-	return w.Flush()
 }

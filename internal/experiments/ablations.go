@@ -70,35 +70,10 @@ type RuntimeResult struct {
 // re-synthesizes with learned bounds.
 func AblationRuntime(cfg Config, load float64) (RuntimeResult, error) {
 	run := func(adaptive bool) (stats.Summary, uint64, error) {
-		sizes := workload.DataMining()
-		if cfg.SizeScale != 1.0 {
-			sizes = sizes.Scaled(cfg.SizeScale)
-		}
-		flows, err := workload.Poisson(workload.PoissonConfig{
-			Hosts:            cfg.hosts(),
-			Load:             load,
-			AccessBitsPerSec: cfg.AccessBps,
-			Sizes:            sizes,
-			Horizon:          cfg.Horizon,
-			Seed:             cfg.Seed,
-		})
+		flows, cbr, pf, edf, err := cfg.traffic(load)
 		if err != nil {
 			return stats.Summary{}, 0, err
 		}
-		cbr, err := workload.CBR(workload.CBRConfig{
-			Hosts: cfg.hosts(), Flows: cfg.CBRFlows, BitsPerSec: cfg.CBRBps,
-			DeadlineBudget: cfg.DeadlineBudget, Seed: cfg.Seed + 1,
-		})
-		if err != nil {
-			return stats.Summary{}, 0, err
-		}
-		maxFlow := int64(float64(300_000_000) * cfg.SizeScale)
-		var pf rank.Ranker = &rank.PFabric{MaxFlowBytes: maxFlow}
-		if cfg.SizeScale != 1.0 {
-			pf = scaledRanker{inner: pf, mult: int64(1.0/cfg.SizeScale + 0.5)}
-		}
-		edf := &rank.EDF{MaxSlack: 2 * cfg.DeadlineBudget}
-
 		// The mis-declaration: pFabric claims its ranks stay below 1/1000
 		// of the true domain.
 		misdeclared := rank.Bounds{Lo: 0, Hi: pf.Bounds().Hi / 1000}
@@ -108,52 +83,42 @@ func AblationRuntime(cfg Config, load float64) (RuntimeResult, error) {
 		}
 		spec := policy.MustParse("pfabric + edf")
 
-		ncfg := netsim.Config{
-			Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-			AccessBps: cfg.AccessBps, FabricBps: cfg.FabricBps,
-			Horizon: cfg.Horizon,
-			Tenants: []netsim.TenantDef{
-				{ID: pfabricID, Name: "pfabric", Ranker: pf, Flows: flows},
-				{ID: edfID, Name: "edf", Ranker: edf, Flows: cbr},
-			},
-		}
-		var versions uint64
+		ncfg := cfg.network(
+			netsim.TenantDef{ID: pfabricID, Name: "pfabric", Ranker: pf, Flows: flows},
+			netsim.TenantDef{ID: edfID, Name: "edf", Ranker: edf, Flows: cbr},
+		)
+		var ctl *core.Controller
 		if adaptive {
-			ctl, pp, err := core.NewController(tenants, spec, core.ControllerOptions{
+			ctl, ncfg.Preprocessor, err = core.NewController(tenants, spec, core.ControllerOptions{
 				MinObservations: 200,
 				WindowSize:      512,
 			})
 			if err != nil {
 				return stats.Summary{}, 0, err
 			}
-			ncfg.Preprocessor = pp
 			ncfg.Controller = ctl
 			ncfg.CheckInterval = cfg.Horizon / 20
-			defer func() { versions = ctl.Version() }()
-			n, err := netsim.New(ncfg)
+		} else {
+			jp, err := core.Synthesize(tenants, spec, core.SynthOptions{})
 			if err != nil {
 				return stats.Summary{}, 0, err
 			}
-			n.Run()
-			_, largeMin := cfg.SmallBinFor()
-			return stats.Summarize(n.FCTs().Filter(func(r stats.FlowRecord) bool {
-				return r.Tenant == "pfabric" && r.Size >= largeMin
-			})), ctl.Version(), nil
+			ncfg.Preprocessor = core.NewPreprocessor(jp, core.UnknownWorst)
 		}
-		jp, err := core.Synthesize(tenants, spec, core.SynthOptions{})
-		if err != nil {
-			return stats.Summary{}, 0, err
-		}
-		ncfg.Preprocessor = core.NewPreprocessor(jp, core.UnknownWorst)
+		ncfg.Preprocessor.EnableMetrics(cfg.Registry, tenantNames(ncfg.Tenants))
 		n, err := netsim.New(ncfg)
 		if err != nil {
 			return stats.Summary{}, 0, err
 		}
 		n.Run()
 		_, largeMin := cfg.SmallBinFor()
-		return stats.Summarize(n.FCTs().Filter(func(r stats.FlowRecord) bool {
+		large := stats.Summarize(n.FCTs().Filter(func(r stats.FlowRecord) bool {
 			return r.Tenant == "pfabric" && r.Size >= largeMin
-		})), versions, nil
+		}))
+		if ctl == nil {
+			return large, 0, nil
+		}
+		return large, ctl.Version(), nil
 	}
 
 	static, _, err := run(false)
@@ -185,21 +150,7 @@ type TrafficShiftResult struct {
 // lower priority ("T1 and T2 should share the resources fairly, and should
 // have priority over T3").
 func TrafficShift(cfg Config, load float64) (TrafficShiftResult, error) {
-	sizes := workload.DataMining()
-	if cfg.SizeScale != 1.0 {
-		sizes = sizes.Scaled(cfg.SizeScale)
-	}
-	interactive, err := workload.Poisson(workload.PoissonConfig{
-		Hosts: cfg.hosts(), Load: load, AccessBitsPerSec: cfg.AccessBps,
-		Sizes: sizes, Horizon: cfg.Horizon, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return TrafficShiftResult{}, err
-	}
-	deadline, err := workload.CBR(workload.CBRConfig{
-		Hosts: cfg.hosts(), Flows: cfg.CBRFlows, BitsPerSec: cfg.CBRBps,
-		DeadlineBudget: cfg.DeadlineBudget, Seed: cfg.Seed + 1,
-	})
+	interactive, deadline, pf, edf, err := cfg.traffic(load)
 	if err != nil {
 		return TrafficShiftResult{}, err
 	}
@@ -215,13 +166,6 @@ func TrafficShift(cfg Config, load float64) (TrafficShiftResult, error) {
 			Size:  bulk,
 		})
 	}
-
-	maxFlow := int64(float64(300_000_000) * cfg.SizeScale)
-	var pf rank.Ranker = &rank.PFabric{MaxFlowBytes: maxFlow}
-	if cfg.SizeScale != 1.0 {
-		pf = scaledRanker{inner: pf, mult: int64(1.0/cfg.SizeScale + 0.5)}
-	}
-	edf := &rank.EDF{MaxSlack: 2 * cfg.DeadlineBudget}
 	fq := rank.NewFQ()
 
 	const bgID = 3
@@ -235,17 +179,14 @@ func TrafficShift(cfg Config, load float64) (TrafficShiftResult, error) {
 	if err != nil {
 		return TrafficShiftResult{}, err
 	}
-	n, err := netsim.New(netsim.Config{
-		Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-		AccessBps: cfg.AccessBps, FabricBps: cfg.FabricBps,
-		Horizon:      cfg.Horizon,
-		Preprocessor: core.NewPreprocessor(jp, core.UnknownWorst),
-		Tenants: []netsim.TenantDef{
-			{ID: pfabricID, Name: "interactive", Ranker: pf, Flows: interactive},
-			{ID: edfID, Name: "deadline", Ranker: edf, Flows: deadline},
-			{ID: bgID, Name: "background", Ranker: fq, Flows: background},
-		},
-	})
+	ncfg := cfg.network(
+		netsim.TenantDef{ID: pfabricID, Name: "interactive", Ranker: pf, Flows: interactive},
+		netsim.TenantDef{ID: edfID, Name: "deadline", Ranker: edf, Flows: deadline},
+		netsim.TenantDef{ID: bgID, Name: "background", Ranker: fq, Flows: background},
+	)
+	ncfg.Preprocessor = core.NewPreprocessor(jp, core.UnknownWorst)
+	ncfg.Preprocessor.EnableMetrics(cfg.Registry, tenantNames(ncfg.Tenants))
+	n, err := netsim.New(ncfg)
 	if err != nil {
 		return TrafficShiftResult{}, err
 	}

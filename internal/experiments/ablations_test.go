@@ -215,15 +215,7 @@ func TestRunFromCSVTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes, err := cfg.sizes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows, err := workload.Poisson(workload.PoissonConfig{
-		Hosts: cfg.Leaves * cfg.HostsPerLeaf, Load: 0.5,
-		AccessBitsPerSec: cfg.AccessBps, Sizes: sizes,
-		Horizon: cfg.Horizon, Seed: cfg.Seed,
-	})
+	flows, _, _, _, err := cfg.traffic(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

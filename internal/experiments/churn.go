@@ -14,7 +14,6 @@ import (
 	"qvisor/internal/rank"
 	"qvisor/internal/sim"
 	"qvisor/internal/trace"
-	"qvisor/internal/workload"
 )
 
 // Churn load test: drive a stream of control-plane spec updates against a
@@ -26,22 +25,14 @@ import (
 // ChurnConfig parametrizes a churn run. Zero value is invalid; start from
 // ScaledChurnConfig.
 type ChurnConfig struct {
-	// Topology (see experiments.Config).
-	Leaves, Spines, HostsPerLeaf int
-	AccessBps, FabricBps         float64
-	// SizeScale shrinks the data-mining flow sizes (see Config.SizeScale).
-	SizeScale float64
-	// CBRFlows and CBRBps shape the deadline tenant's load.
-	CBRFlows int
-	CBRBps   float64
-	// DeadlineBudget is the per-packet EDF deadline.
-	DeadlineBudget sim.Time
-	// Horizon is the traffic window; updates are spread uniformly over it.
-	Horizon sim.Time
+	// Config is the Figure-4 scenario the updates race: its topology,
+	// traffic, observers and buffers. The updates are spread uniformly
+	// over its Horizon, and its Seed also seeds the update sequence.
+	// Trace must be nil: the epoch check records every transform itself.
+	// Backend, Queues and Levels do not apply.
+	Config
 	// Load is the pFabric tenant's offered load fraction.
 	Load float64
-	// Seed seeds the workload and the update sequence.
-	Seed int64
 	// Updates is the number of control-plane updates scheduled over the
 	// horizon (0 = baseline run without churn). Roughly 80% are
 	// single-tenant redefinitions (bounds nudges, the incremental
@@ -59,22 +50,13 @@ type ChurnConfig struct {
 	EpochDeploy bool
 }
 
-// ScaledChurnConfig returns a laptop-scale churn setup: the Figure-4
-// scaled topology, a 50 ms horizon, and 250 updates — a sustained
-// 5,000 updates/sec against the control plane.
+// ScaledChurnConfig returns a laptop-scale churn setup: ScaledConfig at a
+// 50 ms horizon, load 0.6, and 250 updates — a sustained 5,000
+// updates/sec against the control plane.
 func ScaledChurnConfig() ChurnConfig {
-	return ChurnConfig{
-		Leaves: 3, Spines: 2, HostsPerLeaf: 4,
-		AccessBps: 1e9, FabricBps: 2e9,
-		SizeScale: 0.01,
-		CBRFlows:  8, CBRBps: 0.5e9,
-		DeadlineBudget: 5 * sim.Millisecond,
-		Horizon:        50 * sim.Millisecond,
-		Load:           0.6,
-		Seed:           1,
-		Updates:        250,
-		BulkTenants:    8,
-	}
+	cfg := ScaledConfig()
+	cfg.Horizon = 50 * sim.Millisecond
+	return ChurnConfig{Config: cfg, Load: 0.6, Updates: 250, BulkTenants: 8}
 }
 
 // ChurnResult reports one churn run.
@@ -128,46 +110,16 @@ func churnSpec(bulk int) (string, []string) {
 // cfg.Updates == 0 it is the no-churn baseline under the same epoch
 // machinery.
 func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
+	if cfg.Trace != nil {
+		return ChurnResult{}, fmt.Errorf("experiments: churn records its own trace for the epoch check; Config.Trace must be nil")
+	}
 	if cfg.BulkTenants == 0 {
 		cfg.BulkTenants = 8
 	}
-	fig4 := Config{
-		Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-		AccessBps: cfg.AccessBps, FabricBps: cfg.FabricBps,
-		SizeScale: cfg.SizeScale, Horizon: cfg.Horizon, Seed: cfg.Seed,
-	}
-	sizes, err := fig4.sizes()
+	pfFlows, cbrFlows, pfRanker, edfRanker, err := cfg.traffic(cfg.Load)
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	pfFlows, err := workload.Poisson(workload.PoissonConfig{
-		Hosts:            fig4.hosts(),
-		Load:             cfg.Load,
-		AccessBitsPerSec: cfg.AccessBps,
-		Sizes:            sizes,
-		Horizon:          cfg.Horizon,
-		Seed:             cfg.Seed,
-	})
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	cbrFlows, err := workload.CBR(workload.CBRConfig{
-		Hosts:          fig4.hosts(),
-		Flows:          cfg.CBRFlows,
-		BitsPerSec:     cfg.CBRBps,
-		DeadlineBudget: cfg.DeadlineBudget,
-		Seed:           cfg.Seed + 1,
-	})
-	if err != nil {
-		return ChurnResult{}, err
-	}
-
-	maxFlow := int64(float64(300_000_000) * cfg.SizeScale)
-	var pfRanker rank.Ranker = &rank.PFabric{MaxFlowBytes: maxFlow}
-	if cfg.SizeScale != 1.0 {
-		pfRanker = scaledRanker{inner: pfRanker, mult: int64(1.0/cfg.SizeScale + 0.5)}
-	}
-	edfRanker := &rank.EDF{MaxSlack: 2 * cfg.DeadlineBudget}
 
 	specStr, bulkNames := churnSpec(cfg.BulkTenants)
 	spec, err := policy.Parse(specStr)
@@ -219,17 +171,13 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		RingSize: ring,
 	})
 
-	n, err := netsim.New(netsim.Config{
-		Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-		AccessBps: cfg.AccessBps, FabricBps: cfg.FabricBps,
-		Tenants: []netsim.TenantDef{
-			{ID: pfabricID, Name: "pfabric", Ranker: pfRanker, Flows: pfFlows},
-			{ID: edfID, Name: "edf", Ranker: edfRanker, Flows: cbrFlows},
-		},
-		Horizon: cfg.Horizon,
-		Trace:   rec,
-		Epochs:  ctl.Epochs(),
-	})
+	ncfg := cfg.network(
+		netsim.TenantDef{ID: pfabricID, Name: "pfabric", Ranker: pfRanker, Flows: pfFlows},
+		netsim.TenantDef{ID: edfID, Name: "edf", Ranker: edfRanker, Flows: cbrFlows},
+	)
+	ncfg.Trace = rec
+	ncfg.Epochs = ctl.Epochs()
+	n, err := netsim.New(ncfg)
 	if err != nil {
 		return ChurnResult{}, err
 	}

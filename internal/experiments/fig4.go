@@ -86,9 +86,10 @@ func (s Scheme) OperatorSpec() string {
 	}
 }
 
-// Config parametrizes a Figure-4 run. The zero value is invalid; use
-// PaperConfig for the paper's topology or ScaledConfig for a laptop-scale
-// run with the same shape.
+// Config parametrizes the Figure-4 scenario, which every simulator
+// experiment runs: its traffic (traffic) and its network (network). The
+// zero value is invalid; use PaperConfig for the paper's topology or
+// ScaledConfig for a laptop-scale run with the same shape.
 type Config struct {
 	// Topology.
 	Leaves, Spines, HostsPerLeaf int
@@ -140,9 +141,6 @@ type Config struct {
 	// of building a fresh event engine (see netsim.Config.Engine). Same
 	// single-threaded caveat as Pool.
 	Engine *sim.Engine
-	// DisablePool turns off packet pooling for A/B verification; results
-	// are byte-identical either way.
-	DisablePool bool
 	// Shards runs the simulation on the sharded parallel engine with this
 	// many partitions (see netsim.Config.Shards). Zero or one uses the
 	// single-threaded engine. Sharded runs must not set Pool or Engine
@@ -259,59 +257,88 @@ func Run(cfg Config, scheme Scheme, load float64) (Result, error) {
 	return res, err
 }
 
-// run is Run without the Close: the scaling sweep needs the live
-// simulation to read coordinator telemetry before shutdown.
-func run(cfg Config, scheme Scheme, load float64) (Result, netsim.Sim, error) {
-	var pfFlows []workload.FlowSpec
-	if cfg.FlowsCSV != "" {
-		f, err := os.Open(cfg.FlowsCSV)
+// traffic builds the scenario's traffic at load: the pFabric tenant's
+// flows (Poisson arrivals over sizes(), or the FlowsCSV trace), the CBR
+// deadline flows (seeded Seed+1), and the two tenants' rankers.
+func (c Config) traffic(load float64) (pfFlows, cbrFlows []workload.FlowSpec, pf, edf rank.Ranker, err error) {
+	if c.FlowsCSV != "" {
+		f, err := os.Open(c.FlowsCSV)
 		if err != nil {
-			return Result{}, nil, err
+			return nil, nil, nil, nil, err
 		}
 		pfFlows, err = workload.ReadCSV(f)
 		f.Close()
 		if err != nil {
-			return Result{}, nil, err
+			return nil, nil, nil, nil, err
 		}
 	} else {
-		sizes, err := cfg.sizes()
+		sizes, err := c.sizes()
 		if err != nil {
-			return Result{}, nil, err
+			return nil, nil, nil, nil, err
 		}
 		pfFlows, err = workload.Poisson(workload.PoissonConfig{
-			Hosts:            cfg.hosts(),
+			Hosts:            c.hosts(),
 			Load:             load,
-			AccessBitsPerSec: cfg.AccessBps,
+			AccessBitsPerSec: c.AccessBps,
 			Sizes:            sizes,
-			Horizon:          cfg.Horizon,
-			Seed:             cfg.Seed,
+			Horizon:          c.Horizon,
+			Seed:             c.Seed,
 		})
 		if err != nil {
-			return Result{}, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
-	cbrFlows, err := workload.CBR(workload.CBRConfig{
-		Hosts:          cfg.hosts(),
-		Flows:          cfg.CBRFlows,
-		BitsPerSec:     cfg.CBRBps,
-		DeadlineBudget: cfg.DeadlineBudget,
-		Seed:           cfg.Seed + 1,
+	cbrFlows, err = workload.CBR(workload.CBRConfig{
+		Hosts:          c.hosts(),
+		Flows:          c.CBRFlows,
+		BitsPerSec:     c.CBRBps,
+		DeadlineBudget: c.DeadlineBudget,
+		Seed:           c.Seed + 1,
 	})
 	if err != nil {
-		return Result{}, nil, err
+		return nil, nil, nil, nil, err
 	}
 
-	maxFlow := int64(float64(300_000_000) * cfg.SizeScale)
-	var pfRanker rank.Ranker = &rank.PFabric{MaxFlowBytes: maxFlow}
-	if cfg.SizeScale != 1.0 {
+	maxFlow := int64(float64(300_000_000) * c.SizeScale)
+	pf = &rank.PFabric{MaxFlowBytes: maxFlow}
+	if c.SizeScale != 1.0 {
 		// Scaled runs shrink flow sizes but keep pFabric ranks in the
 		// paper's (unscaled) byte units, preserving the §2 rank clash:
 		// EDF's microsecond-denominated ranks numerically beat the ranks
 		// of all but the smallest pFabric flows.
-		pfRanker = scaledRanker{inner: pfRanker, mult: int64(1.0/cfg.SizeScale + 0.5)}
+		pf = scaledRanker{inner: pf, mult: int64(1.0/c.SizeScale + 0.5)}
 	}
-	edfRanker := &rank.EDF{MaxSlack: 2 * cfg.DeadlineBudget}
+	return pfFlows, cbrFlows, pf, &rank.EDF{MaxSlack: 2 * c.DeadlineBudget}, nil
+}
 
+// network returns the simulation of c's fabric carrying tenants, with c's
+// horizon, observers (Trace, Watch, Registry) and buffers (Pool, Engine,
+// Shards, ShardChanCap). Callers add the rank rewrite and the scheduler.
+// Shards takes effect only through netsim.Build, which run uses; the
+// other experiments build single-threaded with netsim.New.
+func (c Config) network(tenants ...netsim.TenantDef) netsim.Config {
+	return netsim.Config{
+		Leaves: c.Leaves, Spines: c.Spines, HostsPerLeaf: c.HostsPerLeaf,
+		AccessBps: c.AccessBps, FabricBps: c.FabricBps,
+		Tenants:      tenants,
+		Horizon:      c.Horizon,
+		Trace:        c.Trace,
+		Watch:        c.Watch,
+		Registry:     c.Registry,
+		Pool:         c.Pool,
+		Engine:       c.Engine,
+		Shards:       c.Shards,
+		ShardChanCap: c.ShardChanCap,
+	}
+}
+
+// run is Run without the Close: the scaling sweep needs the live
+// simulation to read coordinator telemetry before shutdown.
+func run(cfg Config, scheme Scheme, load float64) (Result, netsim.Sim, error) {
+	pfFlows, cbrFlows, pfRanker, edfRanker, err := cfg.traffic(load)
+	if err != nil {
+		return Result{}, nil, err
+	}
 	tenants := []netsim.TenantDef{
 		{ID: pfabricID, Name: "pfabric", Ranker: pfRanker, Flows: pfFlows},
 		{ID: edfID, Name: "edf", Ranker: edfRanker, Flows: cbrFlows},
@@ -319,21 +346,7 @@ func run(cfg Config, scheme Scheme, load float64) (Result, netsim.Sim, error) {
 	if scheme == PIFOIdeal {
 		tenants = tenants[:1] // pFabric alone in the network
 	}
-
-	ncfg := netsim.Config{
-		Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-		AccessBps: cfg.AccessBps, FabricBps: cfg.FabricBps,
-		Tenants:      tenants,
-		Horizon:      cfg.Horizon,
-		Trace:        cfg.Trace,
-		Watch:        cfg.Watch,
-		Registry:     cfg.Registry,
-		Pool:         cfg.Pool,
-		Engine:       cfg.Engine,
-		DisablePool:  cfg.DisablePool,
-		Shards:       cfg.Shards,
-		ShardChanCap: cfg.ShardChanCap,
-	}
+	ncfg := cfg.network(tenants...)
 
 	switch scheme {
 	case FIFOBoth:

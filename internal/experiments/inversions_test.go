@@ -58,10 +58,6 @@ func matchGolden(t *testing.T, name, got string) {
 	}
 }
 
-// experimentDigests holds one line per experiment test: a hash of the
-// test's full result.
-const experimentDigests = "experiment_digests.golden"
-
 // pinResult compares result with the line of testdata/experiment_digests.golden
 // that starts with key. The line holds the FNV-64a hash of result's JSON
 // encoding, which covers every exported field: the FCT summaries, the
@@ -79,7 +75,7 @@ func pinResult(t *testing.T, key string, result any) {
 	h.Write(js)
 	line := fmt.Sprintf("%-8s %016x", key, h.Sum64())
 
-	path := filepath.Join("testdata", experimentDigests)
+	path := filepath.Join("testdata", "experiment_digests.golden")
 	data, err := os.ReadFile(path)
 	if err != nil && !(*updateGolden && os.IsNotExist(err)) {
 		t.Fatalf("%v (run `go test -run %s -update` to create it)", err, t.Name())

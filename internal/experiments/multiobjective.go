@@ -6,7 +6,6 @@ import (
 	"qvisor/internal/netsim"
 	"qvisor/internal/rank"
 	"qvisor/internal/stats"
-	"qvisor/internal/workload"
 )
 
 // ObjectiveResult pairs a rank function with its measured FCTs.
@@ -23,63 +22,37 @@ type ObjectiveResult struct {
 // policy can approach pFabric's small-flow FCTs while retaining FQ's
 // fairness pressure on elephants.
 func MultiObjective(cfg Config, load float64) ([]ObjectiveResult, error) {
-	sizes := workload.DataMining()
-	if cfg.SizeScale != 1.0 {
-		sizes = sizes.Scaled(cfg.SizeScale)
-	}
-	flows, err := workload.Poisson(workload.PoissonConfig{
-		Hosts:            cfg.hosts(),
-		Load:             load,
-		AccessBitsPerSec: cfg.AccessBps,
-		Sizes:            sizes,
-		Horizon:          cfg.Horizon,
-		Seed:             cfg.Seed,
-	})
+	flows, _, _, _, err := cfg.traffic(load)
 	if err != nil {
 		return nil, err
 	}
-
 	maxFlow := int64(float64(300_000_000) * cfg.SizeScale)
-	build := func() (map[string]rank.Ranker, error) {
-		fqOnly := rank.NewFQ()
-		pfOnly := &rank.PFabric{MaxFlowBytes: maxFlow}
-		fqPart := rank.NewFQ()
-		fqPart.MaxBacklog = maxFlow // common scale with pFabric
-		comp, err := rank.NewComposite(1<<20,
-			[]rank.Ranker{fqPart, &rank.PFabric{MaxFlowBytes: maxFlow}},
-			[]float64{0.5, 0.5})
-		if err != nil {
-			return nil, err
-		}
-		return map[string]rank.Ranker{
-			"fq":        fqOnly,
-			"pfabric":   pfOnly,
-			"composite": comp,
-		}, nil
-	}
-	rankers, err := build()
+	fqPart := rank.NewFQ()
+	fqPart.MaxBacklog = maxFlow // common scale with pFabric
+	comp, err := rank.NewComposite(1<<20,
+		[]rank.Ranker{fqPart, &rank.PFabric{MaxFlowBytes: maxFlow}},
+		[]float64{0.5, 0.5})
 	if err != nil {
 		return nil, err
 	}
 
-	order := []string{"fq", "composite", "pfabric"}
 	var out []ObjectiveResult
 	smallMax, largeMin := cfg.SmallBinFor()
-	for _, name := range order {
-		n, err := netsim.New(netsim.Config{
-			Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-			AccessBps: cfg.AccessBps, FabricBps: cfg.FabricBps,
-			Horizon: cfg.Horizon,
-			Tenants: []netsim.TenantDef{
-				{ID: 1, Name: "t", Ranker: rankers[name], Flows: flows},
-			},
-		})
+	for _, o := range []struct {
+		name   string
+		ranker rank.Ranker
+	}{
+		{"fq", rank.NewFQ()},
+		{"composite", comp},
+		{"pfabric", &rank.PFabric{MaxFlowBytes: maxFlow}},
+	} {
+		n, err := netsim.New(cfg.network(netsim.TenantDef{ID: 1, Name: "t", Ranker: o.ranker, Flows: flows}))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", o.name, err)
 		}
 		n.Run()
 		out = append(out, ObjectiveResult{
-			Name: name,
+			Name: o.name,
 			Small: stats.Summarize(n.FCTs().Filter(func(r stats.FlowRecord) bool {
 				return r.Size > 0 && r.Size < smallMax
 			})),

@@ -127,7 +127,7 @@ func RunPoints(cfg Config, points []Point, rc RunnerConfig) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			wcfg := cfg
-			if wcfg.Pool == nil && !wcfg.DisablePool {
+			if wcfg.Pool == nil {
 				wcfg.Pool = pkt.NewPool()
 			}
 			if wcfg.Engine == nil {

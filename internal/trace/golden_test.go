@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"qvisor/internal/pkt"
@@ -41,7 +42,14 @@ func checkGolden(t *testing.T, name, got string) {
 // rank transform, a delivered packet on a second tenant, an evicted
 // packet, an overflow drop, and an in-flight loss.
 func goldenEvents() []Event {
-	rec := NewFlightRecorder(Options{RingSize: 64})
+	events, _ := goldenRecorder(64).Snapshot(AllEvents)
+	return events
+}
+
+// goldenRecorder records goldenEvents' 21 events into a flight recorder
+// whose ring holds ring of them.
+func goldenRecorder(ring int) *Recorder {
+	rec := NewFlightRecorder(Options{RingSize: ring})
 	us := func(n int64) sim.Time { return sim.Time(n * 1000) }
 
 	// Packet 1 (tenant 1): host0 → leaf0 → host2, rank 7 → 21 at leaf0.
@@ -80,9 +88,7 @@ func goldenEvents() []Event {
 	// Packet 5 (tenant 1): emitted, never resolved — an in-flight loss.
 	p5 := &pkt.Packet{ID: 5, Flow: 10, Tenant: 1, Rank: 8, Size: 1500, Src: 0, Dst: 2, Kind: pkt.Data}
 	rec.Record(us(6), KindEmit, "host0", p5)
-
-	events, _ := rec.Snapshot(AllEvents)
-	return events
+	return rec
 }
 
 // TestPerfettoGolden pins the Chrome trace-event JSON rendering: queue
@@ -95,6 +101,32 @@ func TestPerfettoGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "perfetto", buf.String())
+}
+
+// TestExportPerfetto: the file the CLIs write is WritePerfetto's golden
+// rendering of the ring, and a wrapped ring is reported.
+func TestExportPerfetto(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	var log bytes.Buffer
+	if err := ExportPerfetto(path, goldenRecorder(64), &log); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "perfetto", string(got))
+	if want := "trace: 21 events rendered to " + path + "\n"; log.String() != want {
+		t.Errorf("log = %q, want %q", log.String(), want)
+	}
+
+	log.Reset()
+	if err := ExportPerfetto(path, goldenRecorder(8), &log); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(log.String(), "trace: ring wrapped, keeping the most recent 8 of 21 events") {
+		t.Errorf("no wrap note for an 8-event ring: %q", log.String())
+	}
 }
 
 // TestAttributionGolden pins the latency-attribution report: per-stage

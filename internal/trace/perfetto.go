@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -165,4 +167,29 @@ func WritePerfetto(w io.Writer, events []Event) error {
 	}
 	_, err := io.WriteString(w, "]}\n")
 	return err
+}
+
+// ExportPerfetto renders rec's ring as a Chrome trace-event JSON file at
+// path and notes on log how many events it wrote and, when the ring
+// wrapped, how many of the oldest it lost.
+func ExportPerfetto(path string, rec *Recorder, log io.Writer) error {
+	events, _ := rec.Snapshot(AllEvents)
+	if n := rec.Count(); n > uint64(len(events)) {
+		fmt.Fprintf(log, "trace: ring wrapped, keeping the most recent %d of %d events; raise -trace-sample\n",
+			len(events), n)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w := bufio.NewWriter(f)
+	if err := WritePerfetto(w, events); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	fmt.Fprintf(log, "trace: %d events rendered to %s\n", len(events), path)
+	return f.Close()
 }
