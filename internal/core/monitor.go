@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"qvisor/internal/rank"
 )
@@ -16,11 +16,15 @@ import (
 // malicious tenants").
 type Monitor struct {
 	declared rank.Bounds
-	window   []int64
-	pos      int
-	fill     int
-	total    uint64
-	outside  uint64
+	// window holds the last size ranks. It is allocated by the first
+	// Observe: a registration that sees no traffic (every update replaces
+	// the tenant's monitor) costs no window.
+	window  []int64
+	size    int
+	pos     int
+	fill    int
+	total   uint64
+	outside uint64
 }
 
 // NewMonitor returns a monitor with the given sliding-window size (zero
@@ -29,11 +33,14 @@ func NewMonitor(declared rank.Bounds, windowSize int) *Monitor {
 	if windowSize <= 0 {
 		windowSize = 1024
 	}
-	return &Monitor{declared: declared, window: make([]int64, windowSize)}
+	return &Monitor{declared: declared, size: windowSize}
 }
 
 // Observe records one emitted rank.
 func (m *Monitor) Observe(r int64) {
+	if m.window == nil {
+		m.window = make([]int64, m.size)
+	}
 	m.window[m.pos] = r
 	m.pos = (m.pos + 1) % len(m.window)
 	if m.fill < len(m.window) {
@@ -78,12 +85,18 @@ func (s Snapshot) String() string {
 // Snapshot computes window statistics. It returns false when the window is
 // empty.
 func (m *Monitor) Snapshot() (Snapshot, bool) {
+	s, _, ok := m.snapshot(nil)
+	return s, ok
+}
+
+// snapshot is Snapshot sorting the window in buf, grown as needed and
+// returned for the next call.
+func (m *Monitor) snapshot(buf []int64) (Snapshot, []int64, bool) {
 	if m.fill == 0 {
-		return Snapshot{}, false
+		return Snapshot{}, buf, false
 	}
-	buf := make([]int64, m.fill)
-	copy(buf, m.window[:m.fill])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
+	buf = append(buf[:0], m.window[:m.fill]...)
+	slices.Sort(buf)
 	pct := func(p float64) int64 {
 		i := int(p * float64(len(buf)-1))
 		return buf[i]
@@ -94,7 +107,7 @@ func (m *Monitor) Snapshot() (Snapshot, bool) {
 		P5:       pct(0.05),
 		P50:      pct(0.50),
 		P95:      pct(0.95),
-	}, true
+	}, buf, true
 }
 
 // Drift quantifies how far the observed distribution has moved from the
@@ -106,6 +119,11 @@ func (m *Monitor) Drift() float64 {
 	if !ok {
 		return 0
 	}
+	return m.drift(s)
+}
+
+// drift is Drift of the window summarized by s.
+func (m *Monitor) drift(s Snapshot) float64 {
 	span := m.declared.Span()
 	if span <= 0 {
 		span = 1
@@ -128,10 +146,15 @@ func (m *Monitor) LearnedBounds() (rank.Bounds, bool) {
 	if !ok {
 		return rank.Bounds{}, false
 	}
+	return learned(s), true
+}
+
+// learned is LearnedBounds of the window summarized by s.
+func learned(s Snapshot) rank.Bounds {
 	pad := s.Observed.Span() / 10
 	lo := s.Observed.Lo - pad
 	if lo < 0 && s.Observed.Lo >= 0 {
 		lo = 0 // ranks are conventionally non-negative; don't invent negatives
 	}
-	return rank.Bounds{Lo: lo, Hi: s.Observed.Hi + pad}, true
+	return rank.Bounds{Lo: lo, Hi: s.Observed.Hi + pad}
 }

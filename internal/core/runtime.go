@@ -129,12 +129,11 @@ type Controller struct {
 	// put back if it fails, and the events to announce once it is live.
 	journal []undo
 	pending []Event
-	// list is the tenant set generate compiles, in spec order, and order
-	// their records as of the last complete walk of a transaction that did
-	// not roll back (empty otherwise; see refresh); stamp marks the records
-	// a walk has seen. All three are reused across compiles.
+	// list is the tenant set generate compiles, in spec order, as of the
+	// last generation that went live (empty after a roll-back; see patch);
+	// stamp marks the records a walk has seen. Both are reused across
+	// compiles.
 	list  []*Tenant
-	order []*member
 	stamp uint64
 }
 
@@ -150,7 +149,9 @@ type member struct {
 	// that Check concluded: a tenant is active until a Check finds it silent.
 	lastCount uint64
 	active    bool
-	stamp     uint64 // see generate
+	// stamp and pos: see walk.
+	stamp uint64
+	pos   int
 }
 
 // undo is one journal entry: the record a name mapped to before a write
@@ -300,12 +301,13 @@ func (c *Controller) Observe(tenant pkt.TenantID, r int64) {
 // is installed and the version assigned once nothing can fail any more, so
 // an error leaves both, the counters and the epoch store as they were.
 func (c *Controller) generate(spec *policy.Spec) (*Epoch, error) {
-	if !c.refresh(spec) {
+	jp, ok, err := c.patch(spec)
+	if !ok {
 		if err := c.walk(spec); err != nil {
 			return nil, err
 		}
+		jp, err = c.resynth.Resynthesize(c.list, spec)
 	}
-	jp, err := c.resynth.Resynthesize(c.list, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -322,12 +324,12 @@ func (c *Controller) generate(spec *policy.Spec) (*Epoch, error) {
 	return c.epochs.Publish(jp, d), nil
 }
 
-// walk lists the tenants in spec order into c.list, and their records into
-// c.order. Each record the spec names is stamped, so a registered tenant it
-// leaves out shows as a stale stamp.
+// walk lists the tenants in spec order into c.list, and notes each
+// record's position in it. Each record the spec names is stamped, so a
+// registered tenant it leaves out shows as a stale stamp.
 func (c *Controller) walk(spec *policy.Spec) error {
 	c.stamp++
-	list, order, named := c.list[:0], c.order[:0], 0
+	list, named := c.list[:0], 0
 	for _, tier := range spec.Tiers {
 		for _, lvl := range tier.Levels {
 			for _, name := range lvl.Tenants {
@@ -339,11 +341,12 @@ func (c *Controller) walk(spec *policy.Spec) error {
 					m.stamp = c.stamp
 					named++
 				}
-				list, order = append(list, m.tenant), append(order, m)
+				m.pos = len(list)
+				list = append(list, m.tenant)
 			}
 		}
 	}
-	c.list, c.order = list, order
+	c.list = list
 	if named != len(c.members) {
 		var missing []string
 		for name, m := range c.members {
@@ -356,35 +359,28 @@ func (c *Controller) walk(spec *policy.Spec) error {
 	return nil
 }
 
-// refresh is walk's shortcut for a transaction that only rewrote records
+// patch is walk's shortcut for a transaction that only rewrote records
 // already registered: no op joined a name (a join journals no record) and
-// the member count is the last walk's (so none left), so every record is
-// still where that walk found it. When spec names, position by position,
-// the tenants of that walk, c.list is re-read from c.order with one string
-// compare per position and no lookup. It reports false, having decided
-// nothing, on any other transaction or spec; the full walk then runs.
-func (c *Controller) refresh(spec *policy.Spec) bool {
-	if len(c.order) != len(c.members) {
-		return false
+// the member count is the last live walk's (so none left), so every record
+// is still at the position that walk gave it, and re-pointing the written
+// records' positions brings c.list up to date in O(ops). Whether the spec
+// still names the same tenants at every position is checked by the
+// resynthesizer, in the pass that compiles. It reports false, having
+// decided nothing, on any other transaction or spec; the full walk then
+// runs.
+func (c *Controller) patch(spec *policy.Spec) (*JointPolicy, bool, error) {
+	if len(c.list) == 0 || len(c.list) != len(c.members) {
+		return nil, false, nil
 	}
 	for _, u := range c.journal {
 		if u.rec == nil {
-			return false
+			return nil, false, nil
 		}
 	}
-	k := 0
-	for _, tier := range spec.Tiers {
-		for _, lvl := range tier.Levels {
-			for _, name := range lvl.Tenants {
-				if k == len(c.order) || c.order[k].tenant.Name != name {
-					return false
-				}
-				c.list[k] = c.order[k].tenant
-				k++
-			}
-		}
+	for _, u := range c.journal {
+		c.list[u.rec.pos] = u.rec.tenant
 	}
-	return k == len(c.order)
+	return c.resynth.resynthesize(c.list, spec, true)
 }
 
 // stage applies one op to the tenant set in place, journaling what it
@@ -489,9 +485,10 @@ func single(itemErrs []error, err error) error {
 
 // rollback ends a transaction that failed: the journal is undone newest
 // first, so a name written twice ends on its oldest record, the pending
-// events are dropped, and the walk the transaction made no longer counts.
+// events are dropped, and the list the transaction walked or patched no
+// longer counts.
 func (c *Controller) rollback() {
-	c.order = c.order[:0]
+	c.list = c.list[:0]
 	for i := len(c.journal) - 1; i >= 0; i-- {
 		if u := c.journal[i]; u.rec == nil {
 			delete(c.members, u.name)
@@ -602,6 +599,7 @@ func (c *Controller) ApplyBatch(now sim.Time, ops []TenantOp, spec *policy.Spec)
 func (c *Controller) Check(now sim.Time) (bool, error) {
 	var ops []TenantOp
 	var demoted []Event
+	var buf []int64 // the window sort's scratch, shared by the tenants
 	spec := c.spec
 	for _, name := range c.spec.Tenants() {
 		m := c.members[name]
@@ -634,13 +632,14 @@ func (c *Controller) Check(now sim.Time) (bool, error) {
 		if m.quarantined || (c.opts.Quarantine && m.flagged) {
 			continue
 		}
-		if m.monitor.Drift() > c.opts.DriftThreshold {
-			if lb, ok := m.monitor.LearnedBounds(); ok {
-				// On a copy: the registered definition is the caller's.
-				t := *m.tenant
-				t.Bounds = lb
-				ops = append(ops, TenantOp{Kind: OpUpdate, Tenant: &t})
-			}
+		// Drift and the learned bounds read one summary of the window.
+		s, sorted, ok := m.monitor.snapshot(buf)
+		buf = sorted
+		if ok && m.monitor.drift(s) > c.opts.DriftThreshold {
+			// On a copy: the registered definition is the caller's.
+			t := *m.tenant
+			t.Bounds = learned(s)
+			ops = append(ops, TenantOp{Kind: OpUpdate, Tenant: &t})
 		}
 	}
 	if len(ops) == 0 && spec == c.spec {

@@ -205,9 +205,10 @@ func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[stri
 			tr.Offset += base
 			jp.Transforms[id] = tr
 		}
-		for _, s := range ts.flat {
-			s.base += base
-			tab.slots = append(tab.slots, s)
+		k := len(tab.slots)
+		tab.slots = append(tab.slots, ts.flat...)
+		for i := k; i < len(tab.slots); i++ {
+			tab.slots[i].base += base
 		}
 		jp.Tiers = append(jp.Tiers, TierPlan{
 			Bounds:  rank.Bounds{Lo: base, Hi: base + ts.width - 1},
@@ -239,6 +240,7 @@ func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[stri
 // which is what makes per-tier results cacheable across re-syntheses (see
 // incremental.go).
 type tierSynth struct {
+	key   tierKey // under which the Resynthesizer caches it
 	width int64
 	names []string
 	ids   []pkt.TenantID
@@ -335,4 +337,16 @@ func tenantLevels(t *Tenant, def int64) (int64, error) {
 		return s, nil
 	}
 	return def, nil
+}
+
+// tenantInputs is what a tenant gives its tier's synthesis besides its
+// name and ID: its effective bounds and its resolved level count. It
+// reports false where EffectiveBounds or tenantLevels fails.
+func tenantInputs(t *Tenant, def int64) (rank.Bounds, int64, bool) {
+	b, err := t.EffectiveBounds()
+	if err != nil {
+		return b, 0, false
+	}
+	lt, err := tenantLevels(t, def)
+	return b, lt, err == nil
 }
