@@ -582,13 +582,14 @@ func TestCommitQuarantineRetriesAfterFailedDeploy(t *testing.T) {
 // controller the control_churn benchmark builds — 1024 tenants in 32 tiers
 // of 32, every epoch deployed onto 64 strict-priority queues: no more
 // objects than the per-entrance code it replaced (66), and no more bytes
-// than the ≈237 kB an update measures, plus under 10%. The single path
-// must not bring a per-update copy of the tenant set with it.
+// than the ≈165 kB an update measures, plus under 10%. The single path
+// must not bring a per-update copy of the tenant set with it, nor the
+// assembly a copy of every tier's compiled slots.
 func TestAllocBudgetCtlUpdate(t *testing.T) {
 	const (
 		n, width   = 1024, 32
 		maxObjects = 66
-		maxBytes   = 260_000
+		maxBytes   = 180_000
 		rounds     = 64
 	)
 	tenants := make([]*Tenant, n)

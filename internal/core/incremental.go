@@ -13,10 +13,11 @@ import (
 // only the tiers it touches. The unit of caching is one strict tier
 // synthesized and compiled relative to base 0 (tierSynth): tiers are laid
 // out contiguously and only Transform.Offset and a slot's base depend on
-// where a tier lands, so a cached tier is re-shifted by the running base
-// during assembly and the output is byte-identical to a full synthesis
-// (proven by the differential test over seeded churn sequences), rewrite
-// table included.
+// where a tier lands, so a cached tier's transforms are re-shifted by the
+// running base during assembly, its compiled slots land there as one block
+// of the rewrite table, and the output is byte-identical to a full
+// synthesis (proven by the differential test over seeded churn sequences),
+// rewrite table included.
 //
 // Each call first compares its inputs, spec position by spec position,
 // with a flat snapshot of what the last generation compiled there: the
@@ -44,8 +45,9 @@ type Resynthesizer struct {
 
 	// last is the table of the last generation assembled. The next
 	// generation shares its ID→slot index when it has the same IDs in the
-	// same order, and its ByName map when each tier names the same tenants
-	// too — the common case of a bounds or weight edit — skipping the only
+	// same order, its slot→block map when its tiers hold as many tenants,
+	// and its ByName map when each tier names the same tenants too — the
+	// common case of a bounds or weight edit — skipping the only
 	// O(tenants) string-keyed pass left.
 	last *flatTable
 	// tiers are that generation's tiers in spec order and inputs its spec
@@ -316,11 +318,7 @@ func (rs *Resynthesizer) rebuild(tenants []*Tenant, spec *policy.Spec, opts Synt
 	}
 	clear(rs.stale)
 
-	var same *flatTable
-	if sameIDs {
-		same = rs.last
-	}
-	jp := assemble(spec, rs.tiers, opts.Base, byName, same)
+	jp := assemble(spec, rs.tiers, opts.Base, byName, rs.last, sameIDs)
 	rs.last = jp.tab
 	return jp, nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"qvisor/internal/obs"
@@ -79,8 +81,9 @@ type Preprocessor struct {
 }
 
 // flatTransform is one slot of the compiled table: Transform's fields
-// pre-resolved (weight defaulted, quantization regime chosen) so the
-// per-packet rewrite is plain arithmetic with no map access.
+// pre-resolved (weight defaulted, quantization regime chosen, the divisor
+// inverted) so the per-packet rewrite is plain arithmetic with no map
+// access and, for an unweighted tenant, no division.
 type flatTransform struct {
 	lo, hi int64 // original clamp bounds (for the Clamped counter)
 	span   int64 // hi-lo: upper clamp of d
@@ -88,22 +91,39 @@ type flatTransform struct {
 	w      int64 // weight, defaulted to 1
 	stride int64
 	base   int64 // Offset+Phase: the rank of level 0
-	floatQ bool  // quantize via the monotone float fallback
+	// inv is ⌊(2^64-1)/span⌋, what the exact quantizer multiplies by in
+	// place of dividing by span; 0 selects the monotone float fallback.
+	inv uint64
 }
 
 // flatTable is the compiled joint policy, the only form the rewrite kernel
 // executes. It is total over pkt.TenantID: index maps the IDs in
 // [min, min+len(index)) to slots, and every other ID — like every gap in
 // that range — to slot 0, which stands for "no transform"; ids[slot] is the
-// tenant compiled into a slot. A table is immutable, so epochs,
+// tenant compiled into a slot. The slots themselves sit in blocks, one per
+// strict tier of a synthesized policy and a single one for a table
+// compiled from the transform map: blockOf[slot] names the block, which holds slot first+i at slots[i]
+// relative to the block's base. A block's slots are its tier's cached
+// compiled slots, so a generation shares those of every tier it did not
+// change, wherever the tier lands. A table is immutable, so epochs,
 // pre-processors and their shard clones share one, and consecutive
-// synthesized generations over the same IDs share ids and index.
+// synthesized generations share ids and index when they have the same IDs
+// in the same order, and blockOf when their tiers hold as many tenants.
 type flatTable struct {
-	policy *JointPolicy
-	min    uint
-	index  []uint32
-	slots  []flatTransform
-	ids    []pkt.TenantID
+	policy  *JointPolicy
+	min     uint
+	index   []uint32
+	ids     []pkt.TenantID
+	blockOf []uint32
+	blocks  []flatBlock
+}
+
+// flatBlock is the compiled slots of one tier, landed at base: slot first+i
+// of the table rewrites to base plus what slots[i] computes.
+type flatBlock struct {
+	base  int64
+	first uint32
+	slots []flatTransform
 }
 
 // slot returns the table slot of a tenant ID, 0 when it has no transform.
@@ -124,15 +144,18 @@ func (jp *JointPolicy) table() *flatTable {
 	return buildFlatTable(jp)
 }
 
-// buildFlatTable compiles the joint policy's transform map in one pass: slots
-// fill in iteration order, the index afterwards, once the ID range is known.
+// buildFlatTable compiles the joint policy's transform map in one pass into
+// one block at base 0: slots fill in iteration order, the index afterwards,
+// once the ID range is known.
 func buildFlatTable(jp *JointPolicy) *flatTable {
 	n := len(jp.Transforms)
-	t := &flatTable{policy: jp, slots: make([]flatTransform, 1, n+1), ids: make([]pkt.TenantID, 1, n+1)}
+	slots := make([]flatTransform, 0, n)
+	t := &flatTable{policy: jp, ids: make([]pkt.TenantID, 1, n+1), blockOf: make([]uint32, n+1)}
 	for id, tr := range jp.Transforms {
-		t.slots = append(t.slots, compileTransform(tr))
+		slots = append(slots, compileTransform(tr))
 		t.ids = append(t.ids, id)
 	}
+	t.blocks = []flatBlock{{first: 1, slots: slots}}
 	t.min, t.index = indexSlots(t.ids)
 	return t
 }
@@ -154,7 +177,9 @@ func compileTransform(tr Transform) flatTransform {
 		s.base += (lvl/s.w)*s.stride + lvl%s.w
 		s.span, s.m = 1, 0
 	}
-	s.floatQ = s.m > (1<<62)/(s.span+1)
+	if s.m <= (1<<62)/(s.span+1) {
+		s.inv = math.MaxUint64 / uint64(s.span)
+	}
 	return s
 }
 
@@ -216,7 +241,8 @@ func (t *flatTable) rewrite(ps []*pkt.Packet, action UnknownTenantAction, stage 
 			}
 			continue
 		}
-		s := &t.slots[slot]
+		b := &t.blocks[t.blockOf[slot]]
+		s := &b.slots[slot-b.first]
 		in := p.Rank
 		// Out-of-range ranks pin d to the boundary without ever
 		// subtracting (overflow-safe for extreme ranks, matching Quantize's
@@ -230,15 +256,28 @@ func (t *flatTable) rewrite(ps []*pkt.Packet, action UnknownTenantAction, stage 
 			}
 		}
 		var lvl int64
-		if s.floatQ {
+		if s.inv == 0 {
 			lvl = int64(float64(d) / float64(s.span) * float64(s.m))
 			if lvl > s.m {
 				lvl = s.m
 			}
 		} else {
-			lvl = d * s.m / s.span
+			// ⌊x/span⌋ for x = d·m < 2^62: the product with the
+			// reciprocal falls short by at most one, which the
+			// remainder shows.
+			x := uint64(d * s.m)
+			q, _ := bits.Mul64(x, s.inv)
+			if x-q*uint64(s.span) >= uint64(s.span) {
+				q++
+			}
+			lvl = int64(q)
 		}
-		out := s.base + (lvl/s.w)*s.stride + lvl%s.w
+		if s.w == 1 {
+			lvl *= s.stride
+		} else {
+			lvl = (lvl/s.w)*s.stride + lvl%s.w
+		}
+		out := b.base + s.base + lvl
 		p.Rank = out
 		if stage == nil {
 			continue
@@ -320,8 +359,8 @@ func (o *preprocObs) forTable(t *flatTable) *preprocObs {
 		return o
 	}
 	c := *o
-	c.slots = make([]preprocTenantObs, len(t.slots))
-	for slot := 1; slot < len(t.slots); slot++ {
+	c.slots = make([]preprocTenantObs, len(t.ids))
+	for slot := 1; slot < len(t.ids); slot++ {
 		id := t.ids[slot]
 		name := c.nameOf(id)
 		l := obs.L("tenant", name)
@@ -342,10 +381,10 @@ func (o *preprocObs) forTable(t *flatTable) *preprocObs {
 // covers reports whether o's handles were resolved for exactly t's slots:
 // the same tenant ID in every slot, under the name nameOf gives it now.
 func (o *preprocObs) covers(t *flatTable) bool {
-	if len(o.slots) != len(t.slots) {
+	if len(o.slots) != len(t.ids) {
 		return false
 	}
-	for slot := 1; slot < len(t.slots); slot++ {
+	for slot := 1; slot < len(t.ids); slot++ {
 		if h := &o.slots[slot]; h.id != t.ids[slot] || h.name != o.nameOf(h.id) {
 			return false
 		}
@@ -391,8 +430,8 @@ func (pp *Preprocessor) bind(t *flatTable, o *preprocObs) {
 	switch {
 	case o == nil:
 		pp.stage.tenants = nil
-	case len(pp.stage.tenants) != len(t.slots):
-		pp.stage.tenants = make([]slotStage, len(t.slots))
+	case len(pp.stage.tenants) != len(t.ids):
+		pp.stage.tenants = make([]slotStage, len(t.ids))
 	}
 }
 

@@ -135,6 +135,8 @@ type Controller struct {
 	// compiles.
 	list  []*Tenant
 	stamp uint64
+	// sorted is the scratch Check sorts each rank window in.
+	sorted []int64
 }
 
 // member is everything the controller keeps about one registered tenant.
@@ -599,47 +601,57 @@ func (c *Controller) ApplyBatch(now sim.Time, ops []TenantOp, spec *policy.Spec)
 func (c *Controller) Check(now sim.Time) (bool, error) {
 	var ops []TenantOp
 	var demoted []Event
-	var buf []int64 // the window sort's scratch, shared by the tenants
 	spec := c.spec
-	for _, name := range c.spec.Tenants() {
-		m := c.members[name]
-		if m == nil || m.monitor == nil {
-			continue
-		}
-		c.journal = append(c.journal, undo{name, m, *m})
-		// Activity between checks drives the §5 queue-reallocation
-		// decision: a tenant that emitted nothing since the last check
-		// is considered idle.
-		n := m.monitor.Count()
-		m.active, m.lastCount = n > m.lastCount, n
-		if n < c.opts.MinObservations {
-			continue
-		}
-		if f := m.monitor.OutsideFraction(); f > c.opts.AdversarialFraction && !m.flagged {
-			m.flagged = true
-			detail := fmt.Sprintf("%.1f%% of ranks outside declared %v", 100*f, m.monitor.Declared())
-			c.pending = append(c.pending, Event{Kind: EventAdversarial, Tenant: name, At: now, Detail: detail})
-			if c.opts.Quarantine && !m.quarantined {
-				spec = spec.Demote(name)
-				m.quarantined = true
-				// Announced once the generation that demotes it is live.
-				detail = fmt.Sprintf("demoted to dedicated bottom tier: %s", spec)
-				demoted = append(demoted, Event{Kind: EventQuarantined, Tenant: name, At: now, Detail: detail})
+	for _, tier := range c.spec.Tiers {
+		for _, lvl := range tier.Levels {
+			for _, name := range lvl.Tenants {
+				m := c.members[name]
+				if m == nil || m.monitor == nil {
+					continue
+				}
+				// Activity between checks drives the §5 queue-reallocation
+				// decision: a tenant that emitted nothing since the last check
+				// is considered idle. A record is journaled before Check's
+				// first write to it, so one it leaves alone costs nothing.
+				n := m.monitor.Count()
+				journaled := false
+				if active := n > m.lastCount; active != m.active || n != m.lastCount {
+					c.journal = append(c.journal, undo{name, m, *m})
+					m.active, m.lastCount, journaled = active, n, true
+				}
+				if n < c.opts.MinObservations {
+					continue
+				}
+				if f := m.monitor.OutsideFraction(); f > c.opts.AdversarialFraction && !m.flagged {
+					if !journaled {
+						c.journal = append(c.journal, undo{name, m, *m})
+					}
+					m.flagged = true
+					detail := fmt.Sprintf("%.1f%% of ranks outside declared %v", 100*f, m.monitor.Declared())
+					c.pending = append(c.pending, Event{Kind: EventAdversarial, Tenant: name, At: now, Detail: detail})
+					if c.opts.Quarantine && !m.quarantined {
+						spec = spec.Demote(name)
+						m.quarantined = true
+						// Announced once the generation that demotes it is live.
+						detail = fmt.Sprintf("demoted to dedicated bottom tier: %s", spec)
+						demoted = append(demoted, Event{Kind: EventQuarantined, Tenant: name, At: now, Detail: detail})
+					}
+				}
+				// Quarantined tenants keep their declared bounds: learning from
+				// an adversary would let it steer the policy.
+				if m.quarantined || (c.opts.Quarantine && m.flagged) {
+					continue
+				}
+				// Drift and the learned bounds read one summary of the window.
+				s, sorted, ok := m.monitor.snapshot(c.sorted)
+				c.sorted = sorted
+				if ok && m.monitor.drift(s) > c.opts.DriftThreshold {
+					// On a copy: the registered definition is the caller's.
+					t := *m.tenant
+					t.Bounds = learned(s)
+					ops = append(ops, TenantOp{Kind: OpUpdate, Tenant: &t})
+				}
 			}
-		}
-		// Quarantined tenants keep their declared bounds: learning from
-		// an adversary would let it steer the policy.
-		if m.quarantined || (c.opts.Quarantine && m.flagged) {
-			continue
-		}
-		// Drift and the learned bounds read one summary of the window.
-		s, sorted, ok := m.monitor.snapshot(buf)
-		buf = sorted
-		if ok && m.monitor.drift(s) > c.opts.DriftThreshold {
-			// On a copy: the registered definition is the caller's.
-			t := *m.tenant
-			t.Bounds = learned(s)
-			ops = append(ops, TenantOp{Kind: OpUpdate, Tenant: &t})
 		}
 	}
 	if len(ops) == 0 && spec == c.spec {

@@ -175,18 +175,19 @@ func Synthesize(tenants []*Tenant, spec *policy.Spec, opts SynthOptions) (*Joint
 		}
 		tiers = append(tiers, ts)
 	}
-	return assemble(spec, tiers, opts.Base, names, nil), nil
+	return assemble(spec, tiers, opts.Base, names, nil, false), nil
 }
 
 // assemble lays a generation out from its strict tiers, in spec order and
 // contiguously from base (strict isolation: each tier starts past the one
-// above it). Landing a tier on its base shifts its transforms' Offset and
-// its compiled slots' base by the same amount, so the policy's rewrite
-// table is the tiers' slots end to end: slot k+1 holds the k-th tenant of
-// the spec. same is the previous generation's table when the tenant IDs
-// are exactly its IDs in the same order, and nil otherwise; the new table
-// shares its ID→slot index, or lays one out anew.
-func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[string]pkt.TenantID, same *flatTable) *JointPolicy {
+// above it). Landing a tier on its base shifts its transforms' Offset, and
+// its compiled slots become one block of the rewrite table at that base,
+// shared as they are: slot k+1 holds the k-th tenant of the spec. last is
+// the previous generation's table (nil for none). The new table shares its
+// ID→slot index when sameIDs says the tenant IDs are exactly last's in the
+// same order, and its slot→block map when the tiers hold as many tenants as
+// last's, and lays them out anew otherwise.
+func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[string]pkt.TenantID, last *flatTable, sameIDs bool) *JointPolicy {
 	n := 0
 	for _, ts := range tiers {
 		n += len(ts.ids)
@@ -198,18 +199,18 @@ func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[stri
 		Tiers:      make([]TierPlan, 0, len(tiers)),
 		Output:     rank.Bounds{Lo: base},
 	}
-	tab := &flatTable{policy: jp, slots: make([]flatTransform, 1, n+1)}
-	for _, ts := range tiers {
-		for i, id := range ts.ids {
-			tr := ts.rel[i]
+	tab := &flatTable{policy: jp, blocks: make([]flatBlock, len(tiers))}
+	samePartition := last != nil && len(last.blocks) == len(tiers) && len(last.ids) == n+1
+	first := uint32(1)
+	for i, ts := range tiers {
+		for j, id := range ts.ids {
+			tr := ts.rel[j]
 			tr.Offset += base
 			jp.Transforms[id] = tr
 		}
-		k := len(tab.slots)
-		tab.slots = append(tab.slots, ts.flat...)
-		for i := k; i < len(tab.slots); i++ {
-			tab.slots[i].base += base
-		}
+		tab.blocks[i] = flatBlock{base: base, first: first, slots: ts.flat}
+		samePartition = samePartition && last.blocks[i].first == first
+		first += uint32(len(ts.flat))
 		jp.Tiers = append(jp.Tiers, TierPlan{
 			Bounds:  rank.Bounds{Lo: base, Hi: base + ts.width - 1},
 			Tenants: ts.names,
@@ -217,8 +218,18 @@ func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[stri
 		base += ts.width
 	}
 	jp.Output.Hi = base - 1
-	if same != nil {
-		tab.ids, tab.min, tab.index = same.ids, same.min, same.index
+	if samePartition {
+		tab.blockOf = last.blockOf
+	} else {
+		tab.blockOf = make([]uint32, n+1)
+		for i, blk := range tab.blocks {
+			for k := range blk.slots {
+				tab.blockOf[blk.first+uint32(k)] = uint32(i)
+			}
+		}
+	}
+	if sameIDs {
+		tab.ids, tab.min, tab.index = last.ids, last.min, last.index
 	} else {
 		tab.ids = make([]pkt.TenantID, 1, n+1)
 		for _, ts := range tiers {
@@ -238,7 +249,8 @@ func assemble(spec *policy.Spec, tiers []*tierSynth, base int64, byName map[stri
 // lands in the output range, so shifting both by the tier's absolute base
 // reproduces exactly what an in-place synthesis and compile compute —
 // which is what makes per-tier results cacheable across re-syntheses (see
-// incremental.go).
+// incremental.go). A tierSynth is immutable once made: the rewrite tables
+// of every generation that holds the tier share its flat slots.
 type tierSynth struct {
 	key   tierKey // under which the Resynthesizer caches it
 	width int64

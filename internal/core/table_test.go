@@ -197,3 +197,57 @@ func TestAssembleRewritesMovedTiers(t *testing.T) {
 	}
 	checkTableMatchesMap(t, "after the move", s, &pp, second)
 }
+
+// TestGenerationSharesUnchangedTiers: at 1024 tenants in tiers of 32, a
+// one-tenant bounds update makes one new block and shares the other 31
+// tiers' compiled slots, the ID→slot index and the slot→block map with the
+// previous generation; a width change in tier 0 moves every later block to
+// its new base, its slots still shared. Every generation rewrites as
+// Transform.Apply.
+func TestGenerationSharesUnchangedTiers(t *testing.T) {
+	tenants, spec := benchPolicy(t, 1024)
+	rs := NewResynthesizer(SynthOptions{})
+	s := NewEpochStore(UnknownWorst)
+	prev, err := rs.Resynthesize(tenants, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(where string, edit int, change func(*Tenant), moved bool) {
+		t.Helper()
+		nt := *tenants[edit]
+		change(&nt)
+		tenants[edit] = &nt
+		jp, err := rs.Resynthesize(tenants, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := s.Publish(jp, nil)
+		old, tab := prev.tab, e.tab
+		if len(tab.blocks) != 32 || len(old.blocks) != 32 {
+			t.Fatalf("%s: %d blocks after %d, want 32", where, len(tab.blocks), len(old.blocks))
+		}
+		for i, b := range tab.blocks {
+			if shared := &b.slots[0] == &old.blocks[i].slots[0]; shared != (i != edit/32) {
+				t.Errorf("%s: block %d shares its slots %v", where, i, shared)
+			}
+			if b.base != jp.Tiers[i].Bounds.Lo || b.first != uint32(32*i+1) {
+				t.Errorf("%s: block %d at base %d, slot %d; tier at %v", where, i, b.base, b.first, jp.Tiers[i].Bounds)
+			}
+			if b.base != old.blocks[i].base != (moved && i > 0) {
+				t.Errorf("%s: block %d moved from base %d to %d", where, i, old.blocks[i].base, b.base)
+			}
+		}
+		if &tab.index[0] != &old.index[0] || &tab.ids[0] != &old.ids[0] || &tab.blockOf[0] != &old.blockOf[0] {
+			t.Errorf("%s: index, ids or slot→block map laid out anew", where)
+		}
+		for _, in := range tableProbes(jp) {
+			p := in
+			if want := jp.Transforms[in.Tenant].Apply(in.Rank); !e.Process(&p) || p.Rank != want {
+				t.Fatalf("%s: tenant %d rank %d rewrites to %d, Apply gives %d", where, in.Tenant, in.Rank, p.Rank, want)
+			}
+		}
+		prev = jp
+	}
+	step("bounds update in tier 5", 5*32+7, func(nt *Tenant) { nt.Bounds.Hi += 9 }, false)
+	step("width change in tier 0", 3, func(nt *Tenant) { nt.Levels *= 2 }, true)
+}
