@@ -5,7 +5,7 @@
 // QVISOR paper's evaluation. Events are ordered by (time, sequence number),
 // so two runs with identical inputs produce identical schedules. Events
 // less than one wheel span (≈131 µs) ahead wait in a find-first-set timing
-// wheel, later ones in a binary heap; the two tiers are merged at pop by
+// wheel, later ones in a 4-ary heap; the two tiers are merged at pop by
 // the same (time, sequence) order, so the split changes cost, not order.
 package sim
 
@@ -73,10 +73,11 @@ type item struct {
 	dead bool
 }
 
-// before reports whether a fires before b: earlier time, then lower
-// sequence number.
-func before(a, b *item) bool {
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
+// before reports whether the far-tier entry top fires before it: earlier
+// time, then lower sequence number. It reads the (at, seq) copy the entry
+// holds, not the item behind its pointer.
+func before(top *pq.Entry[*item], it *item) bool {
+	return top.Key < int64(it.at) || top.Key == int64(it.at) && top.Seq < it.seq
 }
 
 // Handle identifies a scheduled event so it can be cancelled. A Handle is
@@ -216,7 +217,7 @@ func (w *wheel) take(pos int) *item {
 // An event whose 16 ns slot is less than one wheel span (8 192 slots,
 // ≈131 µs) past the wheel's base goes into the near tier, a timing wheel
 // whose slots are chains sorted by (time, sequence); any other event goes
-// into the far tier, a binary heap. Every pop takes the earlier of the
+// into the far tier, a 4-ary heap. Every pop takes the earlier of the
 // wheel's first item and the heap's top, so the firing order is exactly a
 // single heap's. The base is the slot of the latest popped item (or of
 // the horizon Run stopped at): every queued event is at or after it.
@@ -279,7 +280,7 @@ func (e *Engine) head() (*item, int) {
 		pos = e.wheel.first(int(e.base & wheelMask))
 		it = e.wheel.slots[pos].head
 	}
-	if len(e.heap) > 0 && (it == nil || before(e.heap[0].Val, it)) {
+	if len(e.heap) > 0 && (it == nil || before(&e.heap[0], it)) {
 		return e.heap[0].Val, -1
 	}
 	return it, pos
